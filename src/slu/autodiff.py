@@ -3,8 +3,14 @@
 Tensors wrap a numpy array plus an optional gradient buffer. Operations build
 a computation graph on the fly; calling ``backward()`` on a scalar loss walks
 the graph in reverse topological order and accumulates gradients into every
-reachable tensor with ``requires_grad`` set. Gradients accumulate across
-repeated backward calls until explicitly zeroed.
+reachable leaf tensor with ``requires_grad`` set. Gradient buffers are
+allocated lazily, by the first contribution a tensor receives.
+
+``backward()`` frees the graph as it goes: once an intermediate tensor has
+passed its gradient on, its gradient buffer, its parents and its backward
+closure are dropped, so intermediate gradients are not kept and the graph
+can be differentiated only once. Leaf gradients accumulate across backward
+calls on fresh graphs until explicitly zeroed.
 
 Arrays are float32 by default; pass float64 data for the gradient-check
 configuration. Masks and index arrays are plain numpy arrays, never Tensors.
@@ -13,6 +19,7 @@ configuration. Masks and index arrays are plain numpy arrays, never Tensors.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -39,10 +46,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -78,9 +81,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -109,27 +109,47 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode pass from a scalar loss.
 
-        Populates ``grad`` on every reachable tensor with ``requires_grad``.
-        Leaf gradients accumulate across calls; intermediate buffers are
-        fresh per call, so zeroing the leaves between calls makes repeated
-        backward passes reproducible.
+        Accumulates into ``grad`` of every reachable leaf with
+        ``requires_grad``. Leaf gradients accumulate across calls on
+        fresh graphs, so zeroing the leaves between calls makes repeated
+        passes reproducible. The graph is freed as the pass runs:
+        intermediate tensors keep no gradient, and a second ``backward()``
+        through any of them raises ``GradError``.
         """
         if self.data.size != 1:
             raise GradError(
                 f"backward() requires a scalar loss, got shape {self.data.shape}"
             )
         topo = _topo_order(self)
-        for node in topo:
-            if node._parents:
-                node.grad = np.zeros_like(node.data)
-            elif node.requires_grad and node.grad is None:
-                node.grad = np.zeros_like(node.data)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + np.ones_like(self.data)
+        _accumulate(self, np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
+                node._parents = ()
+                node._backward = _freed
+
+
+def _freed(g: np.ndarray) -> None:
+    """Backward closure left on a tensor once ``backward()`` has freed it;
+    ``_topo_order`` refuses to walk through a tensor that carries it."""
+
+
+def _accumulate(node: Tensor, v: np.ndarray) -> None:
+    """Add ``v`` into ``node.grad``; the first contribution is stored as a
+    copy in the node's dtype, so the buffer never aliases another array."""
+    if node.grad is None:
+        node.grad = np.array(np.broadcast_to(v, node.data.shape), dtype=node.data.dtype)
+    else:
+        node.grad += v
+
+
+def _grad_buffer(node: Tensor) -> np.ndarray:
+    """The gradient buffer of ``node``, zero-filled on first use, for ops
+    that scatter into part of it."""
+    if node.grad is None:
+        node.grad = np.zeros_like(node.data)
+    return node.grad
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -144,6 +164,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in visited:
             continue
+        if node._backward is _freed:
+            raise GradError(
+                "backward() through a graph that an earlier backward() freed"
+            )
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -193,9 +217,9 @@ def add(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.data.shape)
+            _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g, b.data.shape)
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make_node(data, (a, b), backward)
 
@@ -207,9 +231,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g * b.data, a.data.shape)
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g * a.data, b.data.shape)
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make_node(data, (a, b), backward)
 
@@ -220,13 +244,17 @@ def scale(a, s: float) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * s
+            _accumulate(a, g * s)
 
     return _make_node(data, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes, broadcasting leading axes."""
+    """Matrix product over the last two axes, broadcasting leading axes.
+
+    With a 2-D ``b`` the leading axes of ``a`` fold into the row axis, so
+    the product and both gradients are single 2-D GEMMs.
+    """
     a = _as_tensor(a)
     b = _as_tensor(b, ref=a)
     if a.ndim < 2 or b.ndim < 2:
@@ -237,13 +265,27 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.shape} @ {b.shape}"
         )
-    data = a.data @ b.data
+    if b.ndim > 2:
+        data = a.data @ b.data
+
+        def backward(g):
+            if a.requires_grad:
+                _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            if b.requires_grad:
+                _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+
+        return _make_node(data, (a, b), backward)
+
+    k, m = b.shape
+    rows = math.prod(a.shape[:-1])
+    data = (a.data.reshape(rows, k) @ b.data).reshape(a.shape[:-1] + (m,))
 
     def backward(g):
+        g2 = g.reshape(rows, m)
         if a.requires_grad:
-            a.grad += _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+            _accumulate(b, a.data.reshape(rows, k).T @ g2)
 
     return _make_node(data, (a, b), backward)
 
@@ -256,10 +298,10 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         if not a.requires_grad:
             return
         if axis is None:
-            a.grad += np.broadcast_to(g, a.data.shape)
+            _accumulate(a, np.broadcast_to(g, a.data.shape))
         else:
             gk = g if keepdims else np.expand_dims(g, axis)
-            a.grad += np.broadcast_to(gk, a.data.shape)
+            _accumulate(a, np.broadcast_to(gk, a.data.shape))
 
     return _make_node(data, (a,), backward)
 
@@ -275,7 +317,7 @@ def reshape(a, shape) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g.reshape(a.data.shape)
+            _accumulate(a, g.reshape(a.data.shape))
 
     return _make_node(data, (a,), backward)
 
@@ -288,7 +330,7 @@ def transpose(a, axes) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g.transpose(inverse)
+            _accumulate(a, g.transpose(inverse))
 
     return _make_node(data, (a,), backward)
 
@@ -304,7 +346,7 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
             if p.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                p.grad += g[tuple(idx)]
+                _accumulate(p, g[tuple(idx)])
 
     return _make_node(data, parts, backward)
 
@@ -319,7 +361,7 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad[idx] += g
+            _grad_buffer(a)[idx] += g
 
     return _make_node(data, (a,), backward)
 
@@ -333,7 +375,7 @@ def matrix_block(a, r0: int, r1: int, c0: int, c1: int) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad[r0:r1, c0:c1] += g
+            _grad_buffer(a)[r0:r1, c0:c1] += g
 
     return _make_node(data, (a,), backward)
 
@@ -345,7 +387,7 @@ def time_slice(a, t: int) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad[:, t] += g
+            _grad_buffer(a)[:, t] += g
 
     return _make_node(data, (a,), backward)
 
@@ -358,7 +400,7 @@ def stack_time(steps: Sequence[Tensor]) -> Tensor:
     def backward(g):
         for t, p in enumerate(parts):
             if p.requires_grad:
-                p.grad += g[:, t]
+                _accumulate(p, g[:, t])
 
     return _make_node(data, parts, backward)
 
@@ -380,9 +422,9 @@ def shift_time(a, offset: int) -> Tensor:
         if not a.requires_grad:
             return
         if offset >= 0:
-            a.grad[:, : n - offset] += g[:, offset:]
+            _grad_buffer(a)[:, : n - offset] += g[:, offset:]
         else:
-            a.grad[:, -offset:] += g[:, : n + offset]
+            _grad_buffer(a)[:, -offset:] += g[:, : n + offset]
 
     return _make_node(data, (a,), backward)
 
@@ -396,9 +438,9 @@ def where(cond: np.ndarray, a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(np.where(cond, g, 0.0), a.data.shape)
+            _accumulate(a, _unbroadcast(np.where(cond, g, 0.0), a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(np.where(cond, 0.0, g), b.data.shape)
+            _accumulate(b, _unbroadcast(np.where(cond, 0.0, g), b.data.shape))
 
     return _make_node(data, (a, b), backward)
 
@@ -414,7 +456,7 @@ def relu(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * (a.data > 0)
+            _accumulate(a, g * (a.data > 0))
 
     return _make_node(data, (a,), backward)
 
@@ -425,7 +467,7 @@ def sigmoid(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * data * (1.0 - data)
+            _accumulate(a, g * data * (1.0 - data))
 
     return _make_node(data, (a,), backward)
 
@@ -436,7 +478,7 @@ def tanh(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * (1.0 - data * data)
+            _accumulate(a, g * (1.0 - data * data))
 
     return _make_node(data, (a,), backward)
 
@@ -463,7 +505,7 @@ def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
     def backward(g):
         if a.requires_grad:
             inner = (g * data).sum(axis=axis, keepdims=True)
-            a.grad += data * (g - inner)
+            _accumulate(a, data * (g - inner))
 
     return _make_node(data, (a,), backward)
 
@@ -477,7 +519,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g - np.exp(data) * g.sum(axis=axis, keepdims=True)
+            _accumulate(a, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
 
     return _make_node(data, (a,), backward)
 
@@ -491,7 +533,7 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     def backward(g):
         if a.requires_grad:
             gk = g if keepdims else np.expand_dims(g, axis)
-            a.grad += np.exp(a.data - out_k) * gk
+            _accumulate(a, np.exp(a.data - out_k) * gk)
 
     return _make_node(data, (a,), backward)
 
@@ -513,16 +555,16 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
 
     def backward(g):
         if gamma.requires_grad:
-            gamma.grad += _unbroadcast(g * xhat, gamma.data.shape)
+            _accumulate(gamma, _unbroadcast(g * xhat, gamma.data.shape))
         if beta.requires_grad:
-            beta.grad += _unbroadcast(g, beta.data.shape)
+            _accumulate(beta, _unbroadcast(g, beta.data.shape))
         if a.requires_grad:
             gx = g * gamma.data
-            a.grad += inv * (
+            _accumulate(a, inv * (
                 gx
                 - gx.mean(axis=-1, keepdims=True)
                 - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            )
+            ))
 
     return _make_node(data, (a, gamma, beta), backward)
 
@@ -541,7 +583,7 @@ def dropout(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * factor
+            _accumulate(a, g * factor)
 
     return _make_node(data, (a,), backward)
 
@@ -564,7 +606,7 @@ def embedding_lookup(table, ids: np.ndarray) -> Tensor:
 
     def backward(g):
         if table.requires_grad:
-            np.add.at(table.grad, ids, g)
+            np.add.at(_grad_buffer(table), ids, g)
 
     return _make_node(data, (table,), backward)
 
@@ -583,7 +625,7 @@ def gather_last(a, idx: np.ndarray) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            np.add.at(a.grad, sel, g)
+            np.add.at(_grad_buffer(a), sel, g)
 
     return _make_node(data, (a,), backward)
 
@@ -597,7 +639,7 @@ def gather_2d(m, rows: np.ndarray, cols: np.ndarray) -> Tensor:
 
     def backward(g):
         if m.requires_grad:
-            np.add.at(m.grad, (rows, cols), g)
+            np.add.at(_grad_buffer(m), (rows, cols), g)
 
     return _make_node(data, (m,), backward)
 
@@ -624,6 +666,6 @@ def maxpool_over_time(a, mask: np.ndarray) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            np.add.at(a.grad, (bi, argmax, di), g)
+            np.add.at(_grad_buffer(a), (bi, argmax, di), g)
 
     return _make_node(data, (a,), backward)

@@ -12,18 +12,22 @@ File layout (documented contract, version 1):
   row-major, in record order (float32 unless a record says otherwise)
 
 Round trips are bit-exact: load(save(model)) restores every parameter
-to the identical bytes.
+to the identical bytes. Saving writes a temporary file next to the target
+and renames it over the target, so a save that fails part-way leaves the
+previous file as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import Config
+from .config import Config, ConfigError
 from .data import Vocab
 
 MAGIC = b"SLU1"
@@ -74,12 +78,18 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     }).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(header).to_bytes(8, "little"))
-        fh.write(header)
-        for raw in blobs:
-            fh.write(raw)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(len(header).to_bytes(8, "little"))
+            fh.write(header)
+            for raw in blobs:
+                fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -90,32 +100,67 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     header_len = int.from_bytes(raw[4:12], "little")
+    if 12 + header_len > len(raw):
+        raise CheckpointError(
+            f"{path}: header length {header_len} runs past the end of the "
+            f"{len(raw)}-byte file"
+        )
     try:
         header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header: not a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {version!r} "
             f"(this build reads version {FORMAT_VERSION})"
         )
+    for key, kind in (("config", dict), ("vocab", dict), ("params", list)):
+        if not isinstance(header.get(key), kind):
+            raise CheckpointError(
+                f"{path}: header field {key!r} is missing or not a JSON "
+                f"{'object' if kind is dict else 'array'}"
+            )
     blob = raw[12 + header_len :]
     params: dict[str, np.ndarray] = {}
-    for rec in header["params"]:
-        start, size = rec["offset"], rec["size"]
+    for i, rec in enumerate(header["params"]):
+        try:
+            name, start, size = rec["name"], rec["offset"], rec["size"]
+            dtype, shape = np.dtype(rec["dtype"]), rec["shape"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path}: bad parameter record {i}: {exc!r}"
+            ) from None
+        if not (isinstance(start, int) and isinstance(size, int)
+                and start >= 0 and size >= 0):
+            raise CheckpointError(
+                f"{path}: parameter record {i} has offset {start!r}, size {size!r}"
+            )
         if start + size > len(blob):
             raise CheckpointError(
-                f"{path}: parameter {rec['name']!r} extends past end of file"
+                f"{path}: parameter {name!r} extends past end of file"
             )
-        arr = np.frombuffer(blob[start : start + size], dtype=np.dtype(rec["dtype"]))
-        params[rec["name"]] = arr.reshape(rec["shape"]).copy()
+        try:
+            arr = np.frombuffer(blob[start : start + size], dtype=dtype)
+            params[name] = arr.reshape(shape).copy()
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: parameter {name!r}: {exc}") from None
+    try:
+        config = Config.from_dict(header["config"])
+        vocab = Vocab.from_dict(header["vocab"])
+        epoch = int(header.get("epoch", 0))
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: corrupt header: {exc!r}") from None
     return Checkpoint(
-        config=Config.from_dict(header["config"]),
-        vocab=Vocab.from_dict(header["vocab"]),
+        config=config,
+        vocab=vocab,
         params=params,
         best_dev=header.get("best_dev"),
-        epoch=int(header.get("epoch", 0)),
+        epoch=epoch,
     )
 
 
@@ -124,5 +169,8 @@ def model_from_checkpoint(ckpt: Checkpoint):
     from .model import JointModel
 
     model = JointModel(ckpt.config, ckpt.vocab)
-    model.load_state_arrays(ckpt.params)
+    try:
+        model.load_state_arrays(ckpt.params)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint does not fit its model: {exc}") from None
     return model

@@ -154,9 +154,16 @@ def _report_dict(report: EvalReport) -> dict:
 
 def predict_dataset(model: JointModel, data: list[Utterance]
                     ) -> list[tuple[str, list[str]]]:
-    """Decode a dataset in file order (unshuffled batches preserve it)."""
-    batches = make_batches(data, model.vocab, model.config.batch_size)
-    out: list[tuple[str, list[str]]] = []
-    for batch in batches:
-        out.extend(model.predict_batch(batch))
+    """Decode a dataset; the decodes come back in file order.
+
+    Batches are formed from the sentences sorted by length, so each batch
+    pads little; padding does not change a decode.
+    """
+    order = sorted(range(len(data)), key=lambda i: len(data[i].tokens))
+    batches = make_batches([data[i] for i in order], model.vocab,
+                           model.config.batch_size)
+    out: list[tuple[str, list[str]]] = [None] * len(data)
+    decodes = (pred for batch in batches for pred in model.predict_batch(batch))
+    for i, pred in zip(order, decodes):
+        out[i] = pred
     return out

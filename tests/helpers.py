@@ -5,6 +5,8 @@ coordinate step h, df/dx_i ~ (f(x + h e_i) - f(x - h e_i)) / 2h. Agreement
 rule throughout: |a - b| <= tol * max(1, |a|, |b|).
 """
 
+import json
+
 import numpy as np
 
 from slu import autodiff as ad
@@ -15,7 +17,7 @@ FD_TOL = 1e-4
 
 def numeric_grad(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient of scalar-valued f at x (float64)."""
-    x = x.astype(np.float64)
+    x = np.array(x, dtype=np.float64, order="C")  # reshape(-1) below must be a view
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
@@ -90,3 +92,31 @@ def fd_check_unary(op, x: np.ndarray, tol: float = FD_TOL, **kwargs):
             )
 
     assert_close(t.grad, numeric_grad(f, x64), tol)
+
+
+def rewrite_header(raw: bytes, edit) -> bytes:
+    """Checkpoint bytes with the JSON header replaced by ``edit(header)``."""
+    n = int.from_bytes(raw[4:12], "little")
+    header = edit(json.loads(raw[12 : 12 + n]))
+    text = json.dumps(header).encode("utf-8")
+    return raw[:4] + len(text).to_bytes(8, "little") + text + raw[12 + n :]
+
+
+def _without_params(header: dict) -> dict:
+    del header["params"]
+    return header
+
+
+def _without_first_offset(header: dict) -> dict:
+    del header["params"][0]["offset"]
+    return header
+
+
+# Malformed checkpoints, each derived from the bytes of a valid one.
+CORRUPT_CHECKPOINTS = {
+    "header_without_params": lambda raw: rewrite_header(raw, _without_params),
+    "header_is_json_array": lambda raw: rewrite_header(raw, lambda h: [h]),
+    "record_without_offset": lambda raw: rewrite_header(raw, _without_first_offset),
+    "header_len_past_end": lambda raw: (
+        raw[:4] + (len(raw) + 1).to_bytes(8, "little") + raw[12:]),
+}

@@ -187,6 +187,67 @@ class TestBackward:
         ad.tsum(y).backward()
         np.testing.assert_allclose(x.grad, [1.0])
 
+    def test_shared_first_gradients_do_not_alias(self):
+        # The outer add hands one array to both of its inputs; if a buffer
+        # kept it, the inner add's contribution would also land in b.grad.
+        a = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
+        b = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
+        ad.tsum(ad.add(ad.add(a, b), a)).backward()
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("build", [
+        lambda h, c: ad.add(h, h),
+        lambda h, c: ad.tsum(h),
+        lambda h, c: ad.reshape(h, (6,)),
+        lambda h, c: ad.add(h, c),
+    ], ids=["add_self", "tsum", "reshape", "add_broadcast"])
+    def test_first_gradient_is_an_owned_writeable_copy(self, build):
+        h = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        c = ad.Tensor(np.ones((3,)), requires_grad=True)
+        ad.tsum(build(h, c)).backward()
+        for t in (h, c):
+            if t.grad is None:
+                continue
+            assert t.grad.shape == t.shape and t.grad.dtype == t.dtype
+            assert t.grad.flags.owndata and t.grad.flags.writeable
+        if c.grad is not None:
+            assert not np.shares_memory(h.grad, c.grad)
+
+    def test_zero_contribution_gives_zeros_unreachable_keeps_none(self):
+        w = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+        x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+        unused = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+        never = np.zeros((2, 2), dtype=bool)
+        ad.tsum(ad.where(never, w, x)).backward()
+        np.testing.assert_array_equal(w.grad, np.zeros((2, 2)))
+        np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
+        assert unused.grad is None
+
+    def test_backward_frees_intermediates(self, rng):
+        W = ad.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        x = ad.Tensor(rng.standard_normal((2, 5, 4)))
+        h = ad.matmul(x, W)
+        y = ad.tanh(h)
+        loss = ad.tsum(y)
+        loss.backward()
+        assert W.grad is not None
+        for node in (h, y, loss):
+            assert node.grad is None
+            assert node._parents == ()
+
+    def test_second_backward_through_freed_graph_raises(self, rng):
+        W = ad.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        h = ad.tanh(ad.matmul(ad.Tensor(rng.standard_normal((2, 4))), W))
+        loss = ad.tsum(h)
+        loss.backward()
+        first = W.grad.copy()
+        with pytest.raises(ad.GradError):
+            loss.backward()
+        with pytest.raises(ad.GradError):
+            ad.tsum(ad.mul(h, h)).backward()
+        np.testing.assert_array_equal(W.grad, first)
+
     def test_no_grad_skips_graph(self):
         x = ad.Tensor([1.0], requires_grad=True)
         with ad.no_grad():
@@ -296,6 +357,34 @@ class TestFiniteDifferences:
                 return float(ad.tsum(ad.mul(ad.matmul(ad.Tensor(A), ad.Tensor(w)), ad.Tensor(r))).item())
 
         assert_close(tw.grad, numeric_grad(fw, W))
+
+    @pytest.mark.parametrize("shape,axes", [
+        ((2, 3, 4), None),
+        ((2, 2, 3, 4), None),
+        ((3, 2, 4), (1, 0, 2)),
+    ], ids=["3d", "4d", "transposed_view"])
+    def test_folded_matmul(self, rng, shape, axes):
+        # (..., k) @ (k, m) runs as one 2-D GEMM; a non-contiguous ``a``
+        # (a transpose view) exercises the reshape copy.
+        A = rng.standard_normal(shape)
+        if axes is not None:
+            A = A.transpose(axes)
+            assert not A.flags.c_contiguous
+        W = rng.standard_normal((4, 5))
+        r = rng.standard_normal(A.shape[:-1] + (5,))
+        ta = ad.Tensor(A, requires_grad=True)
+        tw = ad.Tensor(W, requires_grad=True)
+        out = ad.matmul(ta, tw)
+        np.testing.assert_allclose(out.data, np.matmul(A, W), rtol=1e-12)
+        ad.tsum(ad.mul(out, ad.Tensor(r))).backward()
+
+        def f(a, w):
+            with ad.no_grad():
+                return float(ad.tsum(ad.mul(ad.matmul(ad.Tensor(a), ad.Tensor(w)),
+                                            ad.Tensor(r))).item())
+
+        assert_close(ta.grad, numeric_grad(lambda a: f(a, W), A))
+        assert_close(tw.grad, numeric_grad(lambda w: f(A, w), W))
 
     def test_layer_norm_all_inputs(self, rng):
         x = rng.standard_normal((2, 3, 6))

@@ -15,6 +15,8 @@ from slu.cli import main, read_prediction_file
 from slu.config import Config, config_hash
 from slu.data import DataError
 
+from helpers import CORRUPT_CHECKPOINTS, rewrite_header
+
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_data" / "atis16"
 
 FAST_ARGS = [
@@ -132,6 +134,24 @@ class TestEvalPredictScore:
         score_rep = read_report(score_out)
         for key in ["slot_f1", "intent_accuracy", "overall_accuracy"]:
             assert score_rep[key] == eval_rep[f"test_{key}"]
+
+    @pytest.mark.parametrize("case", [*sorted(CORRUPT_CHECKPOINTS), "unknown_parameter"])
+    def test_eval_malformed_checkpoint_exits_1(self, trained, tmp_path, capsys, case):
+        _, ckpt, _ = trained
+        raw = ckpt.read_bytes()
+        if case == "unknown_parameter":
+            def rename(header):
+                header["params"][0]["name"] = "bogus"
+                return header
+            raw = rewrite_header(raw, rename)
+        else:
+            raw = CORRUPT_CHECKPOINTS[case](raw)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw)
+        rc = main(["eval", "--data", str(SAMPLE), "--checkpoint", str(bad),
+                   "--split", "test", "--out", str(tmp_path / "eval.txt")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_score_hand_oracle(self, tmp_path, capsys):
         # Sentence 1 fully correct; sentence 2 wrong intent and wrong chunk

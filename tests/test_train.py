@@ -1,11 +1,15 @@
 """Training loop and checkpoint tests: descent sanity, early stopping,
 determinism, divergence detection, and bit-exact persistence."""
 
+import os
+
 import numpy as np
 import pytest
 
 from slu import autodiff as ad
+from slu import checkpoint as checkpoint_module
 from slu.checkpoint import (
+    Checkpoint,
     CheckpointError,
     load_checkpoint,
     model_from_checkpoint,
@@ -17,7 +21,9 @@ from slu.gradcheck import toy_setup
 from slu.metrics import EvalReport
 from slu.model import JointModel
 from slu.optim import Adam, clip_global_norm
-from slu.train import DivergenceError, _improved, evaluate_model, train
+from slu.train import DivergenceError, _improved, evaluate_model, predict_dataset, train
+
+from helpers import CORRUPT_CHECKPOINTS
 
 
 def tiny_config(**overrides):
@@ -154,6 +160,40 @@ class TestEvaluateModel:
         assert a == b
 
 
+class TestPredictDataset:
+    def test_length_sorted_batches_return_file_order(self):
+        # 11 sentences (not a multiple of the batch size 4) in shuffled
+        # length order, including a one-token and a longest sentence.
+        words = ["show", "flights", "to", "boston", "list", "fares", "denver"]
+        lengths = [5, 1, 9, 3, 7, 2, 9, 4, 1, 6, 3]
+        rng = np.random.default_rng(0)
+        data = []
+        for n in lengths:
+            tokens = [words[k] for k in rng.integers(0, len(words), n)]
+            data.append(Utterance(tokens, ["O"] * n, "flight"))
+        vocab = build_vocab(data + tiny_corpus())
+        model = JointModel(tiny_config(batch_size=4), vocab)
+        seen = []
+        predict_batch = model.predict_batch
+
+        def spy(batch):
+            seen.append(batch.lengths.tolist())
+            return predict_batch(batch)
+
+        model.predict_batch = spy
+        got = predict_dataset(model, data)
+        del model.predict_batch
+
+        assert [len(batch) for batch in seen] == [4, 4, 3]
+        flat = [n for batch in seen for n in batch]
+        assert flat == sorted(lengths)
+        assert len(got) == len(data)
+        for utt, pred in zip(data, got):
+            alone = model.predict_batch(make_batches([utt], vocab, 1)[0])
+            assert [pred] == alone
+            assert len(pred[1]) == len(utt.tokens)
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         data = tiny_corpus()
@@ -217,6 +257,57 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) - 64])
         with pytest.raises(CheckpointError, match="past end"):
             load_checkpoint(path)
+
+    @staticmethod
+    def _small_checkpoint(seed=1):
+        vocab = build_vocab(tiny_corpus())
+        model = JointModel(tiny_config(seed=seed), vocab)
+        return Checkpoint(model.config, vocab, model.state_arrays())
+
+    @pytest.mark.parametrize("case,message", [
+        ("header_without_params", "'params' is missing"),
+        ("header_is_json_array", "not a JSON object"),
+        ("record_without_offset", "record 0: KeyError"),
+        ("header_len_past_end", "header length"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, case, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._small_checkpoint())
+        path.write_bytes(CORRUPT_CHECKPOINTS[case](path.read_bytes()))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._small_checkpoint(seed=1))
+        before = path.read_bytes()
+        real_open = open
+
+        class FailsHalfway:
+            """A file whose writes fail once half the old size is written."""
+
+            def __init__(self, *args):
+                self.fh = real_open(*args)
+                self.budget = len(before) // 2
+
+            def write(self, data):
+                if len(data) > self.budget:
+                    self.fh.write(data[: self.budget])
+                    raise OSError("No space left on device")
+                self.budget -= len(data)
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(checkpoint_module, "open", FailsHalfway, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, self._small_checkpoint(seed=2))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_state_name_mismatch_rejected(self):
         vocab = build_vocab(tiny_corpus())
