@@ -106,6 +106,9 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
+    def __getitem__(self, idx):
+        return getitem(self, idx)
+
     def backward(self) -> None:
         """Reverse-mode pass from a scalar loss.
 
@@ -351,80 +354,37 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     return _make_node(data, parts, backward)
 
 
-def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice along one axis; gradient scatters back into place."""
-    a = _as_tensor(a)
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    data = a.data[idx]
+def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
+    """Stack equal-shape tensors along a new axis."""
+    parts = [_as_tensor(t) for t in tensors]
+    data = np.stack([p.data for p in parts], axis=axis)
 
     def backward(g):
-        if a.requires_grad:
-            _grad_buffer(a)[idx] += g
-
-    return _make_node(data, (a,), backward)
-
-
-def matrix_block(a, r0: int, r1: int, c0: int, c1: int) -> Tensor:
-    """Rectangular block of a 2-D tensor."""
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"matrix_block expects a 2-D tensor, got {a.shape}")
-    data = a.data[r0:r1, c0:c1]
-
-    def backward(g):
-        if a.requires_grad:
-            _grad_buffer(a)[r0:r1, c0:c1] += g
-
-    return _make_node(data, (a,), backward)
-
-
-def time_slice(a, t: int) -> Tensor:
-    """Select step ``t`` from a (B, n, ...) tensor, dropping the time axis."""
-    a = _as_tensor(a)
-    data = a.data[:, t]
-
-    def backward(g):
-        if a.requires_grad:
-            _grad_buffer(a)[:, t] += g
-
-    return _make_node(data, (a,), backward)
-
-
-def stack_time(steps: Sequence[Tensor]) -> Tensor:
-    """Stack per-step (B, ...) tensors into (B, n, ...)."""
-    parts = [_as_tensor(s) for s in steps]
-    data = np.stack([p.data for p in parts], axis=1)
-
-    def backward(g):
-        for t, p in enumerate(parts):
+        for p, gp in zip(parts, np.moveaxis(g, axis, 0)):
             if p.requires_grad:
-                _accumulate(p, g[:, t])
+                _accumulate(p, gp)
 
     return _make_node(data, parts, backward)
 
 
-def shift_time(a, offset: int) -> Tensor:
-    """Shift a (B, n, d) tensor along time: out[:, t] = a[:, t - offset].
+def getitem(a, idx) -> Tensor:
+    """``a[idx]`` for any numpy index; the gradient scatters back into place.
 
-    Positions shifted in from beyond either boundary are zero.
+    With an integer-array index the scatter is ``np.add.at``, so entries
+    picked more than once sum their gradients; basic indices (ints,
+    slices) pick each entry at most once and add in place.
     """
     a = _as_tensor(a)
-    n = a.data.shape[1]
-    data = np.zeros_like(a.data)
-    if offset >= 0:
-        data[:, offset:] = a.data[:, : n - offset]
-    else:
-        data[:, : n + offset] = a.data[:, -offset:]
+    data = a.data[idx]
 
     def backward(g):
         if not a.requires_grad:
             return
-        if offset >= 0:
-            _grad_buffer(a)[:, : n - offset] += g[:, offset:]
+        key = idx if isinstance(idx, tuple) else (idx,)
+        if any(isinstance(k, (np.ndarray, list)) for k in key):
+            np.add.at(_grad_buffer(a), idx, g)
         else:
-            _grad_buffer(a)[:, -offset:] += g[:, : n + offset]
+            _grad_buffer(a)[idx] += g
 
     return _make_node(data, (a,), backward)
 
@@ -588,62 +548,6 @@ def dropout(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     return _make_node(data, (a,), backward)
 
 
-# ---------------------------------------------------------------------------
-# lookups and gathers
-# ---------------------------------------------------------------------------
-
-
-def embedding_lookup(table, ids: np.ndarray) -> Tensor:
-    """Rows of ``table`` (V, e) selected by an integer id array."""
-    table = _as_tensor(table)
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError(
-            f"token id out of range [0, {table.data.shape[0]}): "
-            f"min={ids.min()}, max={ids.max()}"
-        )
-    data = table.data[ids]
-
-    def backward(g):
-        if table.requires_grad:
-            np.add.at(_grad_buffer(table), ids, g)
-
-    return _make_node(data, (table,), backward)
-
-
-def gather_last(a, idx: np.ndarray) -> Tensor:
-    """Pick one entry along the last axis: out[...] = a[..., idx[...]]."""
-    a = _as_tensor(a)
-    idx = np.asarray(idx)
-    if idx.shape != a.data.shape[:-1]:
-        raise ShapeError(
-            f"gather_last index shape {idx.shape} does not match {a.data.shape[:-1]}"
-        )
-    grid = np.meshgrid(*[np.arange(n) for n in idx.shape], indexing="ij")
-    sel = tuple(grid) + (idx,)
-    data = a.data[sel]
-
-    def backward(g):
-        if a.requires_grad:
-            np.add.at(_grad_buffer(a), sel, g)
-
-    return _make_node(data, (a,), backward)
-
-
-def gather_2d(m, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Entries m[rows[i], cols[i]] of a 2-D tensor, as a flat vector."""
-    m = _as_tensor(m)
-    rows = np.asarray(rows).reshape(-1)
-    cols = np.asarray(cols).reshape(-1)
-    data = m.data[rows, cols]
-
-    def backward(g):
-        if m.requires_grad:
-            np.add.at(_grad_buffer(m), (rows, cols), g)
-
-    return _make_node(data, (m,), backward)
-
-
 def maxpool_over_time(a, mask: np.ndarray) -> Tensor:
     """Column-wise max over the time axis of (B, n, d), honoring the mask.
 
@@ -658,14 +562,6 @@ def maxpool_over_time(a, mask: np.ndarray) -> Tensor:
         )
     if not mask.any(axis=1).all():
         raise ValueError("maxpool_over_time: a sequence has no real tokens")
-    filled = np.where(mask[:, :, None], a.data, -np.inf)
-    argmax = filled.argmax(axis=1)  # (B, d)
-    data = np.take_along_axis(a.data, argmax[:, None, :], axis=1)[:, 0, :]
+    argmax = np.where(mask[:, :, None], a.data, -np.inf).argmax(axis=1)  # (B, d)
     B, _, d = a.data.shape
-    bi, di = np.meshgrid(np.arange(B), np.arange(d), indexing="ij")
-
-    def backward(g):
-        if a.requires_grad:
-            np.add.at(_grad_buffer(a), (bi, argmax, di), g)
-
-    return _make_node(data, (a,), backward)
+    return getitem(a, (np.arange(B)[:, None], argmax, np.arange(d)[None, :]))

@@ -22,7 +22,8 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .config import ConfigError, build_config, config_hash, parse_overrides
-from .data import DataError, build_vocab, load_dataset, load_pretrained_embeddings, load_split, make_batches
+from .data import (DataError, build_vocab, load_dataset, load_pretrained_embeddings,
+                   load_split, make_batches, utf8_lines)
 from .metrics import AlignmentError, EvalReport, evaluate
 from .train import DivergenceError, evaluate_model, predict_dataset, train
 from . import gradcheck as gradcheck_mod
@@ -142,7 +143,7 @@ def read_prediction_file(path: str | Path) -> tuple[list, list]:
     if not path.is_file():
         raise DataError(f"prediction file not found: {path}")
     lineno = 0
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate("".join(utf8_lines(path)).splitlines(), 1):
         if not line.strip():
             flush(lineno)
             continue

@@ -13,6 +13,8 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .data import utf8_lines
+
 
 class ConfigError(ValueError):
     """Invalid, unknown, or inconsistent configuration input."""
@@ -39,7 +41,7 @@ class Config:
     num_heads: int = 8            # attention heads; hidden_dim / num_heads = d_k
     ffn_dim: int = 512            # inner width of the fused feed-forward
     dropout: float = 0.1          # attention/FFN dropout, inverted scaling
-    encoder_dropout: float = 0.0  # optional dropout on encoder outputs
+    encoder_dropout: float = 0.0  # dropout on the embeddings fed to the BiLSTM
     ablation: str = "full"
     lowercase: bool = True        # fold tokens to lower case at load time
     lr: float = 1e-3
@@ -147,7 +149,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate("".join(utf8_lines(path, ConfigError)).splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

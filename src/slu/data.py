@@ -105,10 +105,20 @@ class Batch:
         return self.token_ids.shape[0]
 
 
+def utf8_lines(path: Path, error: type[Exception] = DataError):
+    """The lines of a UTF-8 text file, decoded lazily; bytes that do not
+    decode raise ``error`` with the path and the offset."""
+    with path.open(encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_lines(path: Path) -> list[str]:
     if not path.is_file():
         raise DataError(f"missing data file: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = "".join(utf8_lines(path))
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -199,26 +209,25 @@ def load_pretrained_embeddings(
     table[PAD_ID] = 0.0
     covered = 0
     wanted = vocab.word2id
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            word, values = parts[0], parts[1:]
-            if len(values) != embed_dim:
+    for lineno, line in enumerate(utf8_lines(path), 1):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        word, values = parts[0], parts[1:]
+        if len(values) != embed_dim:
+            raise DataError(
+                f"{path}:{lineno}: expected {embed_dim} values, "
+                f"got {len(values)}"
+            )
+        idx = wanted.get(word)
+        if idx is not None and idx > UNK_ID:
+            try:
+                table[idx] = np.asarray(values, dtype=np.float32)
+            except ValueError:
                 raise DataError(
-                    f"{path}:{lineno}: expected {embed_dim} values, "
-                    f"got {len(values)}"
-                )
-            idx = wanted.get(word)
-            if idx is not None and idx > UNK_ID:
-                try:
-                    table[idx] = np.asarray(values, dtype=np.float32)
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: non-numeric vector component"
-                    ) from None
-                covered += 1
+                    f"{path}:{lineno}: non-numeric vector component"
+                ) from None
+            covered += 1
     real_words = max(1, vocab.n_words - 2)
     return table, covered / real_words
 

@@ -46,7 +46,7 @@ class IntentHead:
 def cross_entropy_sum(logits: Tensor, gold: np.ndarray) -> Tensor:
     """Summed (not averaged) negative log-likelihood of the gold classes."""
     logp = ad.log_softmax(logits, axis=-1)
-    return ad.scale(ad.tsum(ad.gather_last(logp, np.asarray(gold))), -1.0)
+    return ad.scale(ad.tsum(logp[np.arange(logp.shape[0]), np.asarray(gold)]), -1.0)
 
 
 class CrfHead:
@@ -87,24 +87,16 @@ class CrfHead:
         """(B, n, d) states -> (B, n, |S|) per-token label scores."""
         return ad.add(ad.matmul(H_S, self.W), self.b)
 
-    def _blocks(self) -> tuple[Tensor, Tensor, Tensor]:
-        S = self.num_slots
-        trans = ad.matrix_block(self.T, 0, S, 0, S)
-        start = ad.matrix_block(self.T, self.begin, self.begin + 1, 0, S)  # (1, S)
-        end = ad.matrix_block(self.T, 0, S, self.end, self.end + 1)        # (S, 1)
-        return trans, start, end
-
     def log_partition(self, emissions: Tensor, mask: np.ndarray) -> Tensor:
         """log Z per sequence via the forward algorithm in log space."""
         B, n, S = emissions.data.shape
-        trans, start, end = self._blocks()
-        trans3 = ad.reshape(trans, (1, S, S))
-        alpha = ad.add(start, ad.time_slice(emissions, 0))  # (B, S)
+        trans3 = self.T[None, :S, :S]  # (1, from, to)
+        alpha = ad.add(self.T[self.begin, :S], emissions[:, 0])  # (B, S)
         for t in range(1, n):
             inner = ad.add(ad.reshape(alpha, (B, S, 1)), trans3)
-            prop = ad.add(ad.logsumexp(inner, axis=1), ad.time_slice(emissions, t))
+            prop = ad.add(ad.logsumexp(inner, axis=1), emissions[:, t])
             alpha = ad.where(mask[:, t][:, None], prop, alpha)
-        alpha = ad.add(alpha, ad.reshape(end, (1, S)))
+        alpha = ad.add(alpha, self.T[:S, self.end])
         return ad.logsumexp(alpha, axis=-1)  # (B,)
 
     def gold_score(self, emissions: Tensor, gold: np.ndarray,
@@ -113,7 +105,8 @@ class CrfHead:
         gold = np.asarray(gold)
         mask = np.asarray(mask, dtype=bool)
         safe_gold = np.where(mask, gold, 0)
-        em = ad.gather_last(emissions, safe_gold)  # (B, n)
+        B, n = safe_gold.shape
+        em = emissions[np.arange(B)[:, None], np.arange(n)[None, :], safe_gold]  # (B, n)
         em_sum = ad.tsum(ad.mul(em, ad.Tensor(mask.astype(emissions.data.dtype))))
 
         prev_idx: list[int] = []
@@ -124,7 +117,7 @@ class CrfHead:
             path = [self.begin, *seq.tolist(), self.end]
             prev_idx.extend(path[:-1])
             cur_idx.extend(path[1:])
-        trans_sum = ad.tsum(ad.gather_2d(self.T, np.array(prev_idx), np.array(cur_idx)))
+        trans_sum = ad.tsum(self.T[np.array(prev_idx), np.array(cur_idx)])
         return ad.add(em_sum, trans_sum)
 
     def nll(self, emissions: Tensor, gold: np.ndarray, mask: np.ndarray) -> Tensor:

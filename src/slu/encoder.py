@@ -50,10 +50,10 @@ class LSTMCell:
     def step(self, x_t: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
         dh = self.hidden_dim
         gates = ad.add(ad.matmul(ad.concat([x_t, h_prev], axis=-1), self.W), self.b)
-        i = ad.sigmoid(ad.slice_axis(gates, -1, 0, dh))
-        f = ad.sigmoid(ad.slice_axis(gates, -1, dh, 2 * dh))
-        o = ad.sigmoid(ad.slice_axis(gates, -1, 2 * dh, 3 * dh))
-        g = ad.tanh(ad.slice_axis(gates, -1, 3 * dh, 4 * dh))
+        i = ad.sigmoid(gates[:, :dh])
+        f = ad.sigmoid(gates[:, dh:2 * dh])
+        o = ad.sigmoid(gates[:, 2 * dh:3 * dh])
+        g = ad.tanh(gates[:, 3 * dh:])
         c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
         h = ad.mul(o, ad.tanh(c))
         return h, c
@@ -73,11 +73,11 @@ class LSTMCell:
         outputs: list[Tensor | None] = [None] * n
         for t in order:
             m_t = mask[:, t][:, None]  # (B, 1) broadcasts over features
-            h_new, c_new = self.step(ad.time_slice(embedded, t), h, c)
+            h_new, c_new = self.step(embedded[:, t], h, c)
             h = ad.where(m_t, h_new, h)
             c = ad.where(m_t, c_new, c)
             outputs[t] = ad.where(m_t, h, zero)
-        return ad.stack_time(outputs)
+        return ad.stack(outputs, axis=1)
 
 
 class Encoder:
@@ -120,7 +120,13 @@ class Encoder:
             raise ad.ShapeError(
                 f"mask shape {mask.shape} does not match ids {token_ids.shape}"
             )
-        embedded = ad.embedding_lookup(self.embedding, token_ids)
+        vocab_size = self.embedding.shape[0]
+        if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= vocab_size):
+            raise IndexError(
+                f"token id out of range [0, {vocab_size}): "
+                f"min={token_ids.min()}, max={token_ids.max()}"
+            )
+        embedded = self.embedding[token_ids]
         if dropout_p > 0.0 and training:
             embedded = ad.dropout(embedded, dropout_p, rng, training)
         h_fwd = self.fwd.run(embedded, mask, reverse=False)

@@ -157,7 +157,7 @@ class InteractionLayer:
             )
             fused = self.ln_self(ad.add(X, ctx))
             d = self.d
-            return ad.slice_axis(fused, -1, d, 2 * d), ad.slice_axis(fused, -1, 0, d)
+            return fused[..., d:], fused[..., :d]
 
         if mode != AblationMode.SLOT_TO_INTENT_ONLY:
             C_S = multi_head_attention(
@@ -182,13 +182,14 @@ class InteractionLayer:
     def ffn_fuse(self, H_I: Tensor, H_S: Tensor, mask: np.ndarray,
                   dropout_p, rng, training) -> tuple[Tensor, Tensor]:
         combined = ad.concat([H_I, H_S], axis=-1)  # (B, n, 2d)
+        B, n, width = combined.shape
         # Zero padded positions so windows never read pad garbage; beyond-
-        # boundary neighbors are zero by the same mechanism as shift fill.
+        # boundary neighbors read the zero edges added on either side.
         combined = ad.where(mask[:, :, None], combined, ad.Tensor(np.zeros_like(combined.data)))
-        window = ad.concat(
-            [ad.shift_time(combined, 1), combined, ad.shift_time(combined, -1)],
-            axis=-1,
-        )  # (B, n, 6d)
+        edge = ad.Tensor(np.zeros((B, 1, width), dtype=combined.dtype))
+        padded = ad.concat([edge, combined, edge], axis=1)  # (B, n + 2, 2d)
+        window = ad.concat([padded[:, :n], combined, padded[:, 2:]], axis=-1)  # (B, n, 6d)
+        del padded  # without a graph to hold it, free it before the FFN GEMMs
         hidden = ad.relu(ad.add(ad.matmul(window, self.W1), self.b1))
         ffn = ad.add(ad.matmul(hidden, self.W2), self.b2)
         if dropout_p > 0.0 and training:

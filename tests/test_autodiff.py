@@ -82,20 +82,6 @@ class TestForwardValues:
         with pytest.raises(ad.ShapeError):
             ad.matmul(ad.Tensor([1.0, 2.0]), ad.Tensor(np.zeros((2, 2))))
 
-    def test_embedding_out_of_range_id(self):
-        table = ad.Tensor(np.zeros((5, 3)))
-        with pytest.raises(IndexError, match="5"):
-            ad.embedding_lookup(table, np.array([[0, 5]]))
-
-    def test_shift_time_moves_and_zero_fills(self):
-        x = np.arange(6, dtype=np.float32).reshape(1, 3, 2)
-        fwd = ad.shift_time(ad.Tensor(x), 1).data
-        np.testing.assert_array_equal(fwd[0, 0], [0, 0])
-        np.testing.assert_array_equal(fwd[0, 1], x[0, 0])
-        back = ad.shift_time(ad.Tensor(x), -1).data
-        np.testing.assert_array_equal(back[0, 2], [0, 0])
-        np.testing.assert_array_equal(back[0, 0], x[0, 1])
-
     def test_maxpool_ignores_padded_positions(self):
         x = np.array([[[1.0], [9.0], [100.0]]])
         mask = np.array([[True, True, False]])
@@ -297,18 +283,23 @@ class TestFiniteDifferences:
     def test_scale(self, rng):
         fd_check_unary(ad.scale, rng.standard_normal((3, 4)), s=-2.5)
 
-    def test_shift_time(self, rng):
-        fd_check_unary(ad.shift_time, rng.standard_normal((2, 5, 3)), offset=1)
-        fd_check_unary(ad.shift_time, rng.standard_normal((2, 5, 3)), offset=-1)
+    def test_getitem_slice_last_axis(self, rng):
+        fd_check_unary(ad.getitem, rng.standard_normal((2, 3, 6)),
+                       idx=(slice(None), slice(None), slice(1, 4)))
 
-    def test_slice_axis(self, rng):
-        fd_check_unary(ad.slice_axis, rng.standard_normal((2, 3, 6)), axis=2, start=1, stop=4)
+    def test_getitem_2d_block(self, rng):
+        fd_check_unary(ad.getitem, rng.standard_normal((6, 6)), idx=(slice(1, 4), slice(0, 2)))
 
-    def test_matrix_block(self, rng):
-        fd_check_unary(ad.matrix_block, rng.standard_normal((6, 6)), r0=1, r1=4, c0=0, c1=2)
+    def test_getitem_time_step(self, rng):
+        fd_check_unary(ad.getitem, rng.standard_normal((2, 4, 3)), idx=(slice(None), 2))
 
-    def test_time_slice(self, rng):
-        fd_check_unary(ad.time_slice, rng.standard_normal((2, 4, 3)), t=2)
+    def test_getitem_operator_is_getitem(self, rng):
+        x = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        rows = np.array([2, 0, 2])
+        np.testing.assert_array_equal(x[1:, ::2].data, x.data[1:, ::2])
+        np.testing.assert_array_equal(x[rows].data, x.data[rows])
+        ad.tsum(x[rows]).backward()
+        np.testing.assert_array_equal(x.grad, np.array([1.0, 0.0, 2.0])[:, None] * np.ones((1, 4)))
 
     def test_matmul(self, rng):
         A = rng.standard_normal((3, 4))
@@ -430,7 +421,7 @@ class TestFiniteDifferences:
         ids = np.array([[0, 2, 0], [2, 2, 1]])
         r = rng.standard_normal((2, 3, 3))
         tt = ad.Tensor(table, requires_grad=True)
-        ad.tsum(ad.mul(ad.embedding_lookup(tt, ids), ad.Tensor(r))).backward()
+        ad.tsum(ad.mul(tt[ids], ad.Tensor(r))).backward()
 
         expected = np.zeros_like(table)
         for b in range(2):
@@ -438,12 +429,15 @@ class TestFiniteDifferences:
                 expected[ids[b, t]] += r[b, t]
         np.testing.assert_allclose(tt.grad, expected, rtol=1e-12)
 
-    def test_gather_last(self, rng):
+    def test_getitem_arange_grid(self, rng):
+        # One entry of the last axis per (batch, time) cell, as the CRF's
+        # gold-emission pick does.
         x = rng.standard_normal((2, 3, 4))
         idx = np.array([[0, 3, 1], [2, 2, 0]])
+        sel = (np.arange(2)[:, None], np.arange(3)[None, :], idx)
         r = rng.standard_normal((2, 3))
         tx = ad.Tensor(x, requires_grad=True)
-        out = ad.gather_last(tx, idx)
+        out = ad.getitem(tx, sel)
         np.testing.assert_array_equal(
             out.data, np.take_along_axis(x, idx[..., None], axis=-1)[..., 0]
         )
@@ -451,20 +445,16 @@ class TestFiniteDifferences:
 
         def f(arr):
             with ad.no_grad():
-                return float(ad.tsum(ad.mul(ad.gather_last(ad.Tensor(arr), idx), ad.Tensor(r))).item())
+                return float(ad.tsum(ad.mul(ad.getitem(ad.Tensor(arr), sel), ad.Tensor(r))).item())
 
         assert_close(tx.grad, numeric_grad(f, x))
 
-    def test_gather_last_shape_mismatch(self):
-        with pytest.raises(ad.ShapeError):
-            ad.gather_last(ad.Tensor(np.zeros((2, 3, 4))), np.zeros((2, 2), dtype=int))
-
-    def test_gather_2d_accumulates_repeated_cells(self, rng):
+    def test_getitem_accumulates_repeated_cells(self, rng):
         m = rng.standard_normal((4, 4))
         rows = np.array([1, 1, 3])
         cols = np.array([2, 2, 0])
         tm = ad.Tensor(m, requires_grad=True)
-        ad.tsum(ad.gather_2d(tm, rows, cols)).backward()
+        ad.tsum(ad.getitem(tm, (rows, cols))).backward()
         expected = np.zeros_like(m)
         expected[1, 2] = 2.0
         expected[3, 0] = 1.0
@@ -508,14 +498,25 @@ class TestFiniteDifferences:
         ad.tsum(out).backward()
         np.testing.assert_array_equal(tx.grad, out.data)
 
-    def test_stack_time_roundtrip(self, rng):
+    def test_stack_roundtrip(self, rng):
         steps = [ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(4)]
-        out = ad.stack_time(steps)
+        out = ad.stack(steps, axis=1)
         assert out.shape == (2, 4, 3)
         r = rng.standard_normal((2, 4, 3))
         ad.tsum(ad.mul(out, ad.Tensor(r))).backward()
         for t, s in enumerate(steps):
             np.testing.assert_allclose(s.grad, r[:, t])
+
+    @pytest.mark.parametrize("axis", [0, 2, -1])
+    def test_stack_other_axes(self, rng, axis):
+        parts = [ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(3)]
+        out = ad.stack(parts, axis=axis)
+        ref = np.stack([p.data for p in parts], axis=axis)
+        np.testing.assert_array_equal(out.data, ref)
+        r = rng.standard_normal(ref.shape)
+        ad.tsum(ad.mul(out, ad.Tensor(r))).backward()
+        for k, p in enumerate(parts):
+            np.testing.assert_array_equal(p.grad, np.take(r, k, axis=axis))
 
 
 class TestProperties:

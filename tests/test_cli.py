@@ -6,6 +6,7 @@ the tests observe exactly what a shell user would.
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,46 @@ class TestEvalPredictScore:
         rc = main(["score", str(tmp_path / "absent.txt")])
         assert rc == 1
         assert "not found" in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 exits 1 with a message naming it."""
+
+    BAD = b"\xff\xfe not text\n"
+
+    def train(self, tmp_path, *extra):
+        return main(["train", "--checkpoint", str(tmp_path / "x.ckpt"),
+                     "--out", str(tmp_path / "r.txt"), *FAST_ARGS, *extra])
+
+    def assert_rejected(self, rc, capsys, path):
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "UTF-8" in err
+
+    def test_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"lr = 0.01\n" + self.BAD)
+        rc = self.train(tmp_path, "--data", str(SAMPLE), "--config", str(cfg))
+        self.assert_rejected(rc, capsys, cfg)
+
+    def test_corpus_file(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(SAMPLE, data)
+        seq_in = data / "train" / "seq.in"
+        seq_in.write_bytes(seq_in.read_bytes() + self.BAD)
+        rc = self.train(tmp_path, "--data", str(data))
+        self.assert_rejected(rc, capsys, seq_in)
+
+    def test_embeddings_file(self, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(b"flight " + b"0.5 " * 16 + b"\n" + self.BAD)
+        rc = self.train(tmp_path, "--data", str(SAMPLE), "--embeddings", str(vectors))
+        self.assert_rejected(rc, capsys, vectors)
+
+    def test_prediction_file(self, tmp_path, capsys):
+        preds = tmp_path / "preds.txt"
+        preds.write_bytes(b"# intent:\ta\ta\n" + self.BAD)
+        self.assert_rejected(main(["score", str(preds)]), capsys, preds)
 
 
 class TestPredictionFileParser:

@@ -35,6 +35,13 @@ class TestShapes:
         with pytest.raises(IndexError):
             enc.encode(np.array([[7]]), np.array([[True]]))
 
+    @pytest.mark.parametrize("bad", [5, -1], ids=["past_end", "negative"])
+    def test_embedding_out_of_range_id(self, bad):
+        # numpy would wrap -1 to the last row; the encoder must refuse it.
+        enc = make_encoder(vocab=5)
+        with pytest.raises(IndexError, match=r"\[0, 5\)"):
+            enc.encode(np.array([[0, bad]]), np.array([[True, True]]))
+
 
 class TestMasking:
     def test_appending_pad_leaves_real_positions_unchanged(self):
@@ -76,6 +83,31 @@ class TestMasking:
             cell.b.data[:] = 0.0
         H = enc.encode(np.array([[1, 2, 3]]), np.ones((1, 3), bool)).data
         np.testing.assert_array_equal(H, 0.0)
+
+
+class TestEncoderDropout:
+    """``dropout_p`` drops embedding entries before both LSTMs."""
+
+    ids = np.array([[1, 4, 2], [3, 5, 0]])
+    mask = np.array([[True, True, True], [True, True, False]])
+
+    def test_training_drops_the_embeddings(self):
+        enc = make_encoder()
+        out = enc.encode(self.ids, self.mask, dropout_p=0.5,
+                         rng=np.random.default_rng(3), training=True).data
+
+        embedded = ad.dropout(enc.embedding[self.ids], 0.5,
+                              np.random.default_rng(3), training=True)
+        ref = ad.concat([enc.fwd.run(embedded, self.mask, reverse=False),
+                         enc.bwd.run(embedded, self.mask, reverse=True)], axis=-1)
+        np.testing.assert_array_equal(out, ref.data)
+        assert not np.allclose(out, enc.encode(self.ids, self.mask).data)
+
+    def test_eval_mode_is_unaffected(self):
+        enc = make_encoder()
+        out = enc.encode(self.ids, self.mask, dropout_p=0.5,
+                         rng=np.random.default_rng(3), training=False).data
+        np.testing.assert_array_equal(out, enc.encode(self.ids, self.mask).data)
 
 
 class TestDirectionSymmetry:

@@ -170,6 +170,36 @@ class TestFfnFuse:
                                       mask, 0.0, None, False)
         np.testing.assert_allclose(out_I_pad.data[:, :2], out_I.data, atol=1e-10)
 
+    @pytest.mark.parametrize("block,offset", [(0, -1), (1, 0), (2, 1)],
+                             ids=["left", "centre", "right"])
+    def test_window_block_reads_its_neighbour(self, rng, block, offset):
+        # Keep one 2d-row block of W1 and zero the other two: the FFN at
+        # position t then sees only position t + offset, and zeros where
+        # that neighbour lies beyond the sequence.
+        d, n = 4, 5
+        layer = InteractionLayer(d, 2, 8, AblationMode.FULL,
+                                   np.random.default_rng(0), "t", dtype=np.float64)
+        rows = slice(2 * d * block, 2 * d * (block + 1))
+        kept = layer.W1.data[rows].copy()
+        layer.W1.data[:] = 0.0
+        layer.W1.data[rows] = kept
+        H_I = rng.standard_normal((2, n, d))
+        H_S = rng.standard_normal((2, n, d))
+        out_I, out_S = layer.ffn_fuse(ad.Tensor(H_I), ad.Tensor(H_S),
+                                      np.ones((2, n), bool), 0.0, None, False)
+
+        combined = np.concatenate([H_I, H_S], axis=-1)
+        neighbour = np.zeros_like(combined)
+        for t in range(n):
+            if 0 <= t + offset < n:
+                neighbour[:, t] = combined[:, t + offset]
+        hidden = np.maximum(neighbour @ kept + layer.b1.data, 0.0)
+        ffn = hidden @ layer.W2.data + layer.b2.data
+        expect_I = layer.ln_i_out(ad.Tensor(H_I + ffn)).data
+        expect_S = layer.ln_s_out(ad.Tensor(H_S + ffn)).data
+        np.testing.assert_allclose(out_I.data, expect_I, atol=1e-12)
+        np.testing.assert_allclose(out_S.data, expect_S, atol=1e-12)
+
 
 class TestStack:
     @pytest.mark.parametrize("mode", ALL_MODES)
