@@ -168,8 +168,8 @@ def model_from_checkpoint(ckpt: Checkpoint):
     """Rebuild a ready-to-evaluate model from a loaded checkpoint."""
     from .model import JointModel
 
-    model = JointModel(ckpt.config, ckpt.vocab)
     try:
+        model = JointModel(ckpt.config, ckpt.vocab)
         model.load_state_arrays(ckpt.params)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint does not fit its model: {exc}") from None

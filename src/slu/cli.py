@@ -134,7 +134,7 @@ def read_prediction_file(path: str | Path) -> tuple[list, list]:
         if cur_intents is None and not cur_gold_tags:
             return
         if cur_intents is None:
-            raise DataError(f"line {lineno}: sentence block without an intent line")
+            raise DataError(f"{path} line {lineno}: sentence block without an intent line")
         gold.append((cur_intents[0], cur_gold_tags))
         pred.append((cur_intents[1], cur_pred_tags))
         cur_intents, cur_gold_tags, cur_pred_tags = None, [], []
@@ -150,12 +150,12 @@ def read_prediction_file(path: str | Path) -> tuple[list, list]:
         parts = line.split("\t")
         if parts[0] == "# intent:":
             if len(parts) != 3:
-                raise DataError(f"line {lineno}: malformed intent line")
+                raise DataError(f"{path} line {lineno}: malformed intent line")
             cur_intents = (parts[1], parts[2])
         else:
             if len(parts) != 3:
                 raise DataError(
-                    f"line {lineno}: expected token<TAB>gold<TAB>pred, got {line!r}"
+                    f"{path} line {lineno}: expected token<TAB>gold<TAB>pred, got {line!r}"
                 )
             cur_gold_tags.append(parts[1])
             cur_pred_tags.append(parts[2])

@@ -207,7 +207,7 @@ def load_pretrained_embeddings(
         raise DataError(f"embedding file not found: {path}")
     table = rng.uniform(-0.1, 0.1, size=(vocab.n_words, embed_dim)).astype(np.float32)
     table[PAD_ID] = 0.0
-    covered = 0
+    covered = set()
     wanted = vocab.word2id
     for lineno, line in enumerate(utf8_lines(path), 1):
         parts = line.rstrip("\n").split()
@@ -227,9 +227,9 @@ def load_pretrained_embeddings(
                 raise DataError(
                     f"{path}:{lineno}: non-numeric vector component"
                 ) from None
-            covered += 1
+            covered.add(idx)
     real_words = max(1, vocab.n_words - 2)
-    return table, covered / real_words
+    return table, len(covered) / real_words
 
 
 def make_batches(

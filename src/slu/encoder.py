@@ -1,12 +1,15 @@
 """Shared utterance encoder: embedding lookup plus a bidirectional LSTM.
 
-Each direction runs an independent LSTM cell over the embedded tokens; the
-two final hidden sequences are concatenated feature-wise, so the output
-width is ``hidden_dim`` with ``hidden_dim // 2`` units per direction.
+Each direction has its own LSTM weights; the two hidden sequences are
+concatenated feature-wise, so the output width is ``hidden_dim`` with
+``hidden_dim // 2`` units per direction. Both directions step together in
+one time loop.
 
-Masking contract: padded positions produce zero vectors and never advance
-either recurrence, so the backward direction effectively starts at the last
-real token and appending pad tokens cannot change any real position.
+Masking contract: the mask marks a prefix of each row, so pads trail the
+real tokens. The backward direction reads each sequence reversed within
+its length, so pads trail in its stream too and no real position ever
+reads a pad; pad outputs are zeroed once, after the loop. Appending pad
+tokens therefore cannot change any real position.
 """
 
 from __future__ import annotations
@@ -23,10 +26,12 @@ def uniform_init(rng: np.random.Generator, shape, bound: float, dtype=np.float32
 
 
 class LSTMCell:
-    """Single-direction LSTM with one fused weight for all four gates.
+    """Weights of one LSTM direction: one fused weight for all four gates.
 
-    Gate layout along the output axis: input, forget, output, candidate.
-    No peepholes; initial hidden and cell states are zero.
+    ``W`` is (input_dim + hidden_dim, 4 * hidden_dim): input rows first,
+    then hidden rows. Gate layout along the output axis: input, forget,
+    output, candidate. No peepholes; initial hidden and cell states are
+    zero. ``Encoder.bilstm`` runs the recurrence.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator,
@@ -46,38 +51,6 @@ class LSTMCell:
             Param(f"{self.name}.W", self.W, decay=True),
             Param(f"{self.name}.b", self.b, decay=False),
         ]
-
-    def step(self, x_t: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        dh = self.hidden_dim
-        gates = ad.add(ad.matmul(ad.concat([x_t, h_prev], axis=-1), self.W), self.b)
-        i = ad.sigmoid(gates[:, :dh])
-        f = ad.sigmoid(gates[:, dh:2 * dh])
-        o = ad.sigmoid(gates[:, 2 * dh:3 * dh])
-        g = ad.tanh(gates[:, 3 * dh:])
-        c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
-        return h, c
-
-    def run(self, embedded: Tensor, mask: np.ndarray, reverse: bool) -> Tensor:
-        """Full pass over (B, n, input_dim); returns (B, n, hidden_dim).
-
-        The state only advances where the mask is True, and emitted vectors
-        at masked positions are zero.
-        """
-        B, n, _ = embedded.data.shape
-        dtype = embedded.data.dtype
-        h = Tensor(np.zeros((B, self.hidden_dim), dtype=dtype))
-        c = Tensor(np.zeros((B, self.hidden_dim), dtype=dtype))
-        zero = Tensor(np.zeros((B, self.hidden_dim), dtype=dtype))
-        order = range(n - 1, -1, -1) if reverse else range(n)
-        outputs: list[Tensor | None] = [None] * n
-        for t in order:
-            m_t = mask[:, t][:, None]  # (B, 1) broadcasts over features
-            h_new, c_new = self.step(embedded[:, t], h, c)
-            h = ad.where(m_t, h_new, h)
-            c = ad.where(m_t, c_new, c)
-            outputs[t] = ad.where(m_t, h, zero)
-        return ad.stack(outputs, axis=1)
 
 
 class Encoder:
@@ -126,9 +99,42 @@ class Encoder:
                 f"token id out of range [0, {vocab_size}): "
                 f"min={token_ids.min()}, max={token_ids.max()}"
             )
-        embedded = self.embedding[token_ids]
-        if dropout_p > 0.0 and training:
-            embedded = ad.dropout(embedded, dropout_p, rng, training)
-        h_fwd = self.fwd.run(embedded, mask, reverse=False)
-        h_bwd = self.bwd.run(embedded, mask, reverse=True)
-        return ad.concat([h_fwd, h_bwd], axis=-1)
+        if (mask[:, 1:] & ~mask[:, :-1]).any():
+            raise ValueError("mask must mark a prefix of each row (pads trail real tokens)")
+        embedded = ad.dropout(self.embedding[token_ids], dropout_p, rng, training)
+        return self.bilstm(embedded, mask)
+
+    def bilstm(self, embedded: Tensor, mask: np.ndarray) -> Tensor:
+        """Both LSTM directions over (B, n, e) inputs -> (B, n, hidden_dim).
+
+        ``mask`` must mark a prefix of each row; pad outputs are zero.
+        The backward direction reads each sequence reversed within its
+        length (as TensorFlow's ``reverse_sequence``): time t maps to
+        len-1-t on real positions and to itself on pads. The map is its own
+        inverse, so it also puts the backward outputs back in place. The
+        two directions' weights are stacked on a leading axis, and the
+        input half of ``W`` is applied to all time steps before the loop.
+        """
+        B, n, e = embedded.shape
+        dh = self.hidden_dim // 2
+        steps = np.arange(n)
+        lengths = mask.sum(axis=1, keepdims=True)
+        rev = (np.arange(B)[:, None], np.where(mask, lengths - 1 - steps, steps))
+        W = ad.stack([self.fwd.W, self.bwd.W])  # (2, e + dh, 4dh)
+        b = ad.stack([self.fwd.b, self.bwd.b])[:, None]  # (2, 1, 4dh)
+        x = ad.reshape(ad.stack([embedded, embedded[rev]]), (2, B * n, e))
+        xW = ad.reshape(ad.add(ad.matmul(x, W[:, :e]), b), (2, B, n, 4 * dh))
+        W_h = W[:, e:]
+        h = c = Tensor(np.zeros((2, B, dh), dtype=embedded.dtype))
+        hs = []
+        for t in range(n):
+            gates = ad.add(xW[:, :, t], ad.matmul(h, W_h))
+            ifo = ad.sigmoid(gates[..., :3 * dh])
+            i, f, o = ifo[..., :dh], ifo[..., dh:2 * dh], ifo[..., 2 * dh:]
+            g = ad.tanh(gates[..., 3 * dh:])
+            c = ad.add(ad.mul(f, c), ad.mul(i, g))
+            h = ad.mul(o, ad.tanh(c))
+            hs.append(h)
+        H = ad.stack(hs, axis=2)  # (2, B, n, dh)
+        out = ad.concat([H[0], H[(1, *rev)]], axis=-1)
+        return ad.where(mask[:, :, None], out, 0.0)

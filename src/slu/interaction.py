@@ -36,8 +36,7 @@ def label_attention(H: Tensor, W: Tensor, mask: np.ndarray,
     through unchanged.
     """
     A = ad.softmax(ad.matmul(H, W), axis=-1)
-    if dropout_p > 0.0 and training:
-        A = ad.dropout(A, dropout_p, rng, training)
+    A = ad.dropout(A, dropout_p, rng, training)
     update = ad.matmul(A, ad.transpose(W, (1, 0)))
     out = ad.add(H, update)
     return ad.where(mask[:, :, None], out, H)
@@ -63,8 +62,7 @@ def multi_head_attention(Q: Tensor, K: Tensor, V: Tensor, key_mask: np.ndarray,
     q, k, v = split(Q), split(K), split(V)
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dk))
     A = ad.softmax(scores, axis=-1, mask=key_mask[:, None, None, :])
-    if dropout_p > 0.0 and training:
-        A = ad.dropout(A, dropout_p, rng, training)
+    A = ad.dropout(A, dropout_p, rng, training)
     ctx = ad.matmul(A, v)
     return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, n, dm))
 
@@ -192,8 +190,7 @@ class InteractionLayer:
         del padded  # without a graph to hold it, free it before the FFN GEMMs
         hidden = ad.relu(ad.add(ad.matmul(window, self.W1), self.b1))
         ffn = ad.add(ad.matmul(hidden, self.W2), self.b2)
-        if dropout_p > 0.0 and training:
-            ffn = ad.dropout(ffn, dropout_p, rng, training)
+        ffn = ad.dropout(ffn, dropout_p, rng, training)
         out_I = self.ln_i_out(ad.add(H_I, ffn))
         out_S = self.ln_s_out(ad.add(H_S, ffn))
         return out_I, out_S

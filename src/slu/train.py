@@ -3,7 +3,7 @@ overall accuracy, and best-model checkpointing."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -131,25 +131,10 @@ def train(
         config=config,
         vocab=vocab,
         params=best_params,
-        best_dev=_report_dict(best_dev),
+        best_dev=asdict(best_dev),
         epoch=best_epoch,
     )
     return TrainResult(model, checkpoint, best_epoch, best_dev, history)
-
-
-def _report_dict(report: EvalReport) -> dict:
-    return {
-        "slot_f1": report.slot_f1,
-        "slot_precision": report.slot_precision,
-        "slot_recall": report.slot_recall,
-        "intent_accuracy": report.intent_accuracy,
-        "overall_accuracy": report.overall_accuracy,
-        "gold_chunks": report.gold_chunks,
-        "pred_chunks": report.pred_chunks,
-        "correct_chunks": report.correct_chunks,
-        "sentences": report.sentences,
-        "correct_sentences": report.correct_sentences,
-    }
 
 
 def predict_dataset(model: JointModel, data: list[Utterance]

@@ -94,6 +94,43 @@ def fd_check_unary(op, x: np.ndarray, tol: float = FD_TOL, **kwargs):
     assert_close(t.grad, numeric_grad(f, x64), tol)
 
 
+def lstm_oracle_run(cell, embedded, mask: np.ndarray, reverse: bool):
+    """One LSTM direction stepped position by position, masked per step.
+
+    Reference for ``Encoder.bilstm``: the state only advances where the
+    mask is True, the backward direction walks from the last position to
+    the first, and emitted vectors at masked positions are zero.
+    """
+    B, n, _ = embedded.data.shape
+    dh = cell.hidden_dim
+    dtype = embedded.data.dtype
+    h = ad.Tensor(np.zeros((B, dh), dtype=dtype))
+    c = ad.Tensor(np.zeros((B, dh), dtype=dtype))
+    zero = ad.Tensor(np.zeros((B, dh), dtype=dtype))
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    outputs = [None] * n
+    for t in order:
+        m_t = mask[:, t][:, None]
+        x_h = ad.concat([embedded[:, t], h], axis=-1)
+        gates = ad.add(ad.matmul(x_h, cell.W), cell.b)
+        i = ad.sigmoid(gates[:, :dh])
+        f = ad.sigmoid(gates[:, dh:2 * dh])
+        o = ad.sigmoid(gates[:, 2 * dh:3 * dh])
+        g = ad.tanh(gates[:, 3 * dh:])
+        c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h_new = ad.mul(o, ad.tanh(c_new))
+        h = ad.where(m_t, h_new, h)
+        c = ad.where(m_t, c_new, c)
+        outputs[t] = ad.where(m_t, h, zero)
+    return ad.stack(outputs, axis=1)
+
+
+def bilstm_oracle(enc, embedded, mask: np.ndarray):
+    """Both directions of ``enc`` run apart by ``lstm_oracle_run``."""
+    return ad.concat([lstm_oracle_run(enc.fwd, embedded, mask, reverse=False),
+                      lstm_oracle_run(enc.bwd, embedded, mask, reverse=True)], axis=-1)
+
+
 def rewrite_header(raw: bytes, edit) -> bytes:
     """Checkpoint bytes with the JSON header replaced by ``edit(header)``."""
     n = int.from_bytes(raw[4:12], "little")

@@ -136,7 +136,8 @@ class TestEvalPredictScore:
         for key in ["slot_f1", "intent_accuracy", "overall_accuracy"]:
             assert score_rep[key] == eval_rep[f"test_{key}"]
 
-    @pytest.mark.parametrize("case", [*sorted(CORRUPT_CHECKPOINTS), "unknown_parameter"])
+    @pytest.mark.parametrize("case", [*sorted(CORRUPT_CHECKPOINTS), "unknown_parameter",
+                                      "empty_slot_labels"])
     def test_eval_malformed_checkpoint_exits_1(self, trained, tmp_path, capsys, case):
         _, ckpt, _ = trained
         raw = ckpt.read_bytes()
@@ -145,6 +146,11 @@ class TestEvalPredictScore:
                 header["params"][0]["name"] = "bogus"
                 return header
             raw = rewrite_header(raw, rename)
+        elif case == "empty_slot_labels":
+            def empty_slots(header):
+                header["vocab"]["slots"] = []
+                return header
+            raw = rewrite_header(raw, empty_slots)
         else:
             raw = CORRUPT_CHECKPOINTS[case](raw)
         bad = tmp_path / "bad.ckpt"
@@ -182,7 +188,9 @@ class TestEvalPredictScore:
         bad.write_text("# intent:\ta\tb\nonly-two\tcolumns\n")
         rc = main(["score", str(bad)])
         assert rc == 1
-        assert "line 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line 2" in err
+        assert str(bad) in err
 
     def test_score_missing_file(self, tmp_path, capsys):
         rc = main(["score", str(tmp_path / "absent.txt")])

@@ -160,6 +160,12 @@ class TestEmbeddings:
         np.testing.assert_array_equal(table[vocab.word2id["hello"]], [1.0, 2.0, 3.0])
         assert coverage == 0.5
 
+    def test_repeated_word_counts_once(self, tmp_path, rng):
+        vocab = build_vocab([Utterance(["hello", "world"], ["O", "O"], "X")])
+        (tmp_path / "vec.txt").write_text("hello 1.0 2.0\n" * 3)
+        _, coverage = load_pretrained_embeddings(tmp_path / "vec.txt", vocab, 2, rng)
+        assert coverage == 0.5
+
     def test_uncovered_word_within_init_bounds(self, tmp_path, rng):
         vocab = build_vocab([Utterance(["solo"], ["O"], "X")])
         (tmp_path / "vec.txt").write_text("other 1.0 2.0\n")

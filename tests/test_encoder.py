@@ -6,7 +6,7 @@ import pytest
 from slu import autodiff as ad
 from slu.encoder import Encoder
 
-from helpers import assert_close, numeric_grad
+from helpers import assert_close, bilstm_oracle, numeric_grad
 
 
 def make_encoder(vocab=9, e=8, d=8, seed=0, dtype=np.float64):
@@ -76,6 +76,11 @@ class TestMasking:
         H = enc.encode(ids, mask).data
         np.testing.assert_allclose(H[0, 1, 4:], single, atol=1e-12)
 
+    def test_pad_before_real_token_rejected(self):
+        enc = make_encoder()
+        with pytest.raises(ValueError, match="prefix"):
+            enc.encode(np.array([[1, 2, 3]]), np.array([[True, False, True]]))
+
     def test_zero_weights_give_zero_states(self):
         enc = make_encoder()
         for cell in (enc.fwd, enc.bwd):
@@ -98,8 +103,7 @@ class TestEncoderDropout:
 
         embedded = ad.dropout(enc.embedding[self.ids], 0.5,
                               np.random.default_rng(3), training=True)
-        ref = ad.concat([enc.fwd.run(embedded, self.mask, reverse=False),
-                         enc.bwd.run(embedded, self.mask, reverse=True)], axis=-1)
+        ref = enc.bilstm(embedded, self.mask)
         np.testing.assert_array_equal(out, ref.data)
         assert not np.allclose(out, enc.encode(self.ids, self.mask).data)
 
@@ -108,6 +112,31 @@ class TestEncoderDropout:
         out = enc.encode(self.ids, self.mask, dropout_p=0.5,
                          rng=np.random.default_rng(3), training=False).data
         np.testing.assert_array_equal(out, enc.encode(self.ids, self.mask).data)
+
+
+class TestOracle:
+    """``bilstm`` against both directions stepped apart with per-step masks."""
+
+    # Ragged rows of lengths 5, 3, 1 and 0; pads use id 8, which no real
+    # token uses, so its embedding row must get no gradient.
+    ids = np.array([[1, 2, 3, 4, 5], [6, 7, 1, 8, 8], [2, 8, 8, 8, 8], [8, 8, 8, 8, 8]])
+    mask = np.arange(5)[None, :] < np.array([5, 3, 1, 0])[:, None]
+
+    def run(self, fn):
+        enc = make_encoder(vocab=9, e=6, d=8, seed=4)
+        r = np.random.default_rng(5).standard_normal((4, 5, 8))
+        out = fn(enc, enc.embedding[self.ids], self.mask)
+        ad.tsum(ad.mul(out, ad.Tensor(r))).backward()
+        grads = [t.grad for t in (enc.embedding, enc.fwd.W, enc.fwd.b, enc.bwd.W, enc.bwd.b)]
+        return out.data, grads
+
+    def test_outputs_and_gradients_match(self):
+        out, grads = self.run(lambda enc, x, m: enc.bilstm(x, m))
+        ref, ref_grads = self.run(bilstm_oracle)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        for g, ref_g in zip(grads, ref_grads):
+            assert_close(g, ref_g, 1e-4)
+        np.testing.assert_array_equal(grads[0][8], 0.0)
 
 
 class TestDirectionSymmetry:
