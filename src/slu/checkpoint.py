@@ -107,7 +107,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         )
     try:
         header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: corrupt header: not a JSON object")
@@ -151,8 +151,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         config = Config.from_dict(header["config"])
         vocab = Vocab.from_dict(header["vocab"])
         epoch = int(header.get("epoch", 0))
-    except ConfigError:
-        raise
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: bad config: {exc}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc!r}") from None
     return Checkpoint(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -53,6 +54,10 @@ class Config:
     seed: int = 42
 
     def validate(self) -> "Config":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.hidden_dim <= 0 or self.hidden_dim % 2 != 0:
             raise ConfigError(
                 f"hidden_dim must be a positive even number, got {self.hidden_dim}"

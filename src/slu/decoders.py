@@ -88,16 +88,80 @@ class CrfHead:
         return ad.add(ad.matmul(H_S, self.W), self.b)
 
     def log_partition(self, emissions: Tensor, mask: np.ndarray) -> Tensor:
-        """log Z per sequence via the forward algorithm in log space."""
-        B, n, S = emissions.data.shape
-        trans3 = self.T[None, :S, :S]  # (1, from, to)
-        alpha = ad.add(self.T[self.begin, :S], emissions[:, 0])  # (B, S)
-        for t in range(1, n):
-            inner = ad.add(ad.reshape(alpha, (B, S, 1)), trans3)
-            prop = ad.add(ad.logsumexp(inner, axis=1), emissions[:, t])
-            alpha = ad.where(mask[:, t][:, None], prop, alpha)
-        alpha = ad.add(alpha, self.T[:S, self.end])
-        return ad.logsumexp(alpha, axis=-1)  # (B,)
+        """log Z per sequence, shape (B,), as one graph node over
+        ``emissions`` and ``T``.
+
+        The forward algorithm runs scaled in linear space (Rabiner 1989,
+        section V.A): each step is one (B, S) @ (S, S) product of the state
+        with exp(T[:S, :S] - max), and the state is renormalised to a
+        maximum of 1 with its log scale carried per sequence. Position 0
+        always counts; a later step whose mask entry is False carries the
+        state unchanged. The backward pass runs the matching recursion for
+        the posterior marginals: the unary marginals are the emission
+        gradient, their first and last rows the gradients of
+        ``T[begin, :S]`` and ``T[:S, end]``, and the pairwise marginals
+        summed over steps the gradient of ``T[:S, :S]``; every other entry
+        of ``T`` gets zero.
+
+        Numeric range: internals are float64 whatever the input dtype.
+        Emissions enter in log space, so their spread is not limited; a
+        state underflows to zero only when the mass flowing into it is more
+        than ~700 nats below the best state of the previous step plus the
+        largest transition score. A forbidden transition (``NEG_INF``)
+        therefore contributes nothing, as long as some allowed path exists.
+        The output dtype is ``np.result_type`` of the emissions and ``T``.
+        """
+        E = emissions.data
+        B, n, S = E.shape
+        mask = np.asarray(mask, dtype=bool)
+        T = self.T.data.astype(np.float64)
+        trans, start, stop = T[:S, :S], T[self.begin, :S], T[:S, self.end]
+        top = trans.max()
+        P = np.exp(trans - top)
+        A = np.empty((n, B, S))  # scaled forward state entering each step
+        a = start + E[:, 0]
+        log_scale = a.max(axis=1)
+        A[0] = np.exp(a - log_scale[:, None])
+        with np.errstate(divide="ignore"):
+            for t in range(1, n):
+                w = np.log(A[t - 1] @ P) + E[:, t]
+                peak = w.max(axis=1)
+                on = mask[:, t]
+                A[t] = np.where(on[:, None], np.exp(w - peak[:, None]), A[t - 1])
+                log_scale = np.where(on, log_scale + (top + peak), log_scale)
+        stop_top = stop.max()
+        z = A[-1] * np.exp(stop - stop_top)
+        z_sum = z.sum(axis=1)
+        log_z = log_scale + stop_top + np.log(z_sum)
+
+        def backward(g):
+            # G is the gradient of sum(g * log Z) with respect to the
+            # log-space state at a step: g times that step's unary marginals.
+            # Stepping back, state i passes on G[j] * A[i] P[i, j] / U[j],
+            # U[j] being the mass flowing into j, so R = G / U carries the
+            # pairwise marginals and feeds the T[:S, :S] gradient.
+            G = z * (g / z_sum)[:, None]
+            dE = np.zeros((B, n, S))
+            dT = np.zeros_like(T)
+            dT[:S, self.end] = G.sum(axis=0)
+            L = A[:-1].reshape(-1, S)
+            U = (L @ P).reshape(n - 1, B, S)
+            R = np.zeros_like(U)  # stays 0 where the step is masked or U is 0
+            for t in range(n - 1, 0, -1):
+                on = mask[:, t][:, None]
+                np.divide(G, U[t - 1], out=R[t - 1], where=on & (U[t - 1] > 0))
+                dE[:, t] = np.where(on, G, 0.0)
+                G = np.where(on, A[t - 1] * (R[t - 1] @ P.T), G)
+            dE[:, 0] = G
+            dT[self.begin, :S] = G.sum(axis=0)
+            dT[:S, :S] = P * (L.T @ R.reshape(-1, S))
+            if emissions.requires_grad:
+                ad._accumulate(emissions, dE)
+            if self.T.requires_grad:
+                ad._accumulate(self.T, dT)
+
+        out = log_z.astype(np.result_type(E.dtype, self.T.data.dtype))
+        return ad._make_node(out, (emissions, self.T), backward)
 
     def gold_score(self, emissions: Tensor, gold: np.ndarray,
                    mask: np.ndarray) -> Tensor:

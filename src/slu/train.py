@@ -22,9 +22,16 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class EpochStats:
+    """One epoch's record. The gradient norms are global L2 norms taken
+    before clipping; a step counts as clipped when its norm exceeded a
+    positive ``clip_norm``."""
+
     epoch: int
     mean_loss: float
     dev: EvalReport
+    grad_norm_mean: float
+    grad_norm_max: float
+    clipped_steps: int
 
 
 @dataclass
@@ -92,6 +99,7 @@ def train(
         batches = make_batches(train_data, vocab, config.batch_size,
                                shuffle_seed=config.seed + epoch)
         losses = []
+        norms = []
         for bi, batch in enumerate(batches):
             loss = model.loss(batch, training=True)
             value = loss.item()
@@ -101,19 +109,28 @@ def train(
                 )
             optimizer.zero_grad()
             loss.backward()
-            if config.clip_norm > 0:
-                clip_global_norm(optimizer.params, config.clip_norm)
+            norms.append(clip_global_norm(optimizer.params, config.clip_norm))
             optimizer.step()
             losses.append(value)
 
         dev_report = evaluate_model(model, dev_batches)
-        history.append(EpochStats(epoch, float(np.mean(losses)), dev_report))
+        stats = EpochStats(
+            epoch, float(np.mean(losses)), dev_report,
+            grad_norm_mean=float(np.mean(norms)),
+            grad_norm_max=float(np.max(norms)),
+            clipped_steps=sum(config.clip_norm > 0 and n > config.clip_norm
+                              for n in norms),
+        )
+        history.append(stats)
         if log is not None:
             log(
-                f"epoch {epoch}: loss {np.mean(losses):.4f} "
+                f"epoch {epoch}: loss {stats.mean_loss:.4f} "
                 f"dev overall {dev_report.overall_accuracy:.4f} "
                 f"slot F1 {dev_report.slot_f1:.4f} "
-                f"intent acc {dev_report.intent_accuracy:.4f}"
+                f"intent acc {dev_report.intent_accuracy:.4f} "
+                f"grad norm mean {stats.grad_norm_mean:.3f} "
+                f"max {stats.grad_norm_max:.3f} "
+                f"clipped {stats.clipped_steps}/{len(norms)}"
             )
 
         if _improved(dev_report, best_dev):

@@ -69,6 +69,24 @@ def crf_brute_force(emissions: np.ndarray, T: np.ndarray):
     return log_z, list(paths[best]), float(scores[best])
 
 
+def crf_log_partition_composed(crf, emissions, mask: np.ndarray):
+    """log Z per sequence from the forward algorithm composed of autodiff
+    ops in log space: one ``logsumexp`` over a (B, S, S) array per step.
+
+    Reference for the fused ``CrfHead.log_partition``; its values and
+    gradients come from the generic ops alone.
+    """
+    B, n, S = emissions.data.shape
+    trans3 = crf.T[None, :S, :S]  # (1, from, to)
+    alpha = ad.add(crf.T[crf.begin, :S], emissions[:, 0])  # (B, S)
+    for t in range(1, n):
+        inner = ad.add(ad.reshape(alpha, (B, S, 1)), trans3)
+        prop = ad.add(ad.logsumexp(inner, axis=1), emissions[:, t])
+        alpha = ad.where(mask[:, t][:, None], prop, alpha)
+    alpha = ad.add(alpha, crf.T[:S, crf.end])
+    return ad.logsumexp(alpha, axis=-1)  # (B,)
+
+
 def fd_check_unary(op, x: np.ndarray, tol: float = FD_TOL, **kwargs):
     """Backward of ``op`` against finite differences, via a random projection.
 

@@ -13,7 +13,12 @@ from slu.decoders import (
     joint_loss,
 )
 
-from helpers import assert_close, crf_brute_force, numeric_grad
+from helpers import (
+    assert_close,
+    crf_brute_force,
+    crf_log_partition_composed,
+    numeric_grad,
+)
 
 
 def make_crf(num_slots, d=4, seed=0, zero=False):
@@ -197,6 +202,97 @@ class TestCrfNll:
             return val
 
         assert_close(crf.T.grad, numeric_grad(f_T, crf.T.data))
+
+
+def partition_and_grads(log_partition, crf, em, mask, r):
+    """log Z and the gradients of sum(log Z * r) w.r.t. emissions and T."""
+    em_t = ad.Tensor(em, requires_grad=True)
+    crf.T.grad = None
+    log_z = log_partition(crf, em_t, mask)
+    ad.tsum(ad.mul(log_z, ad.Tensor(r.astype(log_z.data.dtype)))).backward()
+    return log_z.data, em_t.grad, crf.T.grad
+
+
+def ragged_instance(rng, S=5, dtype=np.float64, t_dtype=None):
+    """Batch of four with lengths 1, full width 6, 3 and 4, a random T and
+    a non-constant upstream gradient r."""
+    lengths = np.array([1, 6, 3, 4])
+    mask = np.arange(6)[None, :] < lengths[:, None]
+    crf = CrfHead(4, S, np.random.default_rng(3), dtype=t_dtype or dtype)
+    crf.T.data[:S, :S] = rng.standard_normal((S, S))
+    crf.T.data[crf.begin, :S] = rng.standard_normal(S)
+    crf.T.data[:S, crf.end] = rng.standard_normal(S)
+    em = rng.standard_normal((4, 6, S)).astype(dtype)
+    return crf, em, mask, rng.standard_normal(4)
+
+
+class TestFusedLogPartition:
+    """The fused log-partition node against the composed log-space oracle."""
+
+    def assert_matches_oracle(self, crf, em, mask, r, value_tol=1e-10,
+                              grad_tol=1e-8):
+        fused = partition_and_grads(CrfHead.log_partition, crf, em, mask, r)
+        composed = partition_and_grads(crf_log_partition_composed, crf, em, mask, r)
+        assert fused[0].dtype == composed[0].dtype
+        np.testing.assert_allclose(fused[0], composed[0], rtol=0, atol=value_tol)
+        for got, want in zip(fused[1:], composed[1:]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=grad_tol)
+        return fused
+
+    def test_float64_ragged_batch(self, rng):
+        crf, em, mask, r = ragged_instance(rng)
+        _, _, dT = self.assert_matches_oracle(crf, em, mask, r)
+        S = crf.num_slots
+        assert np.all(dT[:, crf.begin] == 0.0)
+        assert np.all(dT[crf.end, :] == 0.0)
+        assert np.all(dT[crf.begin, S:] == 0.0) and np.all(dT[S:, crf.end] == 0.0)
+
+    def test_float32_ragged_batch(self, rng):
+        crf, em, mask, r = ragged_instance(rng, dtype=np.float32)
+        fused = partition_and_grads(CrfHead.log_partition, crf, em, mask, r)
+        composed = partition_and_grads(crf_log_partition_composed, crf, em, mask, r)
+        for got, want in zip(fused, composed):
+            assert got.dtype == np.float32
+            assert_close(got, want, tol=1e-4)
+        assert np.all(fused[2][:, crf.begin] == 0.0)
+        assert np.all(fused[2][crf.end, :] == 0.0)
+
+    def test_float32_transitions_with_float64_emissions(self, rng):
+        crf, em, mask, r = ragged_instance(rng, t_dtype=np.float32)
+        fused = partition_and_grads(CrfHead.log_partition, crf, em, mask, r)
+        composed = partition_and_grads(crf_log_partition_composed, crf, em, mask, r)
+        assert fused[0].dtype == np.float64 and fused[2].dtype == np.float32
+        np.testing.assert_allclose(fused[0], composed[0], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fused[1], composed[1], rtol=0, atol=1e-8)
+        assert_close(fused[2], composed[2], tol=1e-6)  # stored in float32
+
+    def test_forbidden_transitions(self, rng):
+        crf, em, mask, r = ragged_instance(rng)
+        S = crf.num_slots
+        forbid = rng.random((S, S)) < 0.4
+        np.fill_diagonal(forbid, False)  # staying put is allowed ...
+        forbid[:, 0] = True  # ... except in label 0, which only a path's start may take
+        crf.T.data[:S, :S][forbid] = NEG_INF
+        _, _, dT = self.assert_matches_oracle(crf, em, mask, r)
+        assert np.all(dT[:S, :S][forbid] == 0.0)
+
+    def test_emissions_spread_two_hundred_nats(self, rng):
+        crf, em, mask, r = ragged_instance(rng)
+        em = rng.uniform(-200.0, 200.0, size=em.shape)
+        log_z, _, _ = self.assert_matches_oracle(crf, em, mask, r)
+        assert np.all(np.isfinite(log_z))
+
+    def test_single_label(self, rng):
+        crf, em, mask, r = ragged_instance(rng, S=1)
+        self.assert_matches_oracle(crf, em, mask, r)
+
+    def test_is_one_graph_node_over_emissions_and_transitions(self, rng):
+        crf, em, mask, _ = ragged_instance(rng)
+        em_t = ad.Tensor(em, requires_grad=True)
+        log_z = crf.log_partition(em_t, mask)
+        assert len(log_z._parents) == 2
+        assert log_z._parents[0] is em_t and log_z._parents[1] is crf.T
+        assert all(p._parents == () for p in log_z._parents)
 
 
 class TestViterbi:

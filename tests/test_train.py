@@ -128,6 +128,29 @@ class TestDeterminism:
         assert [h.mean_loss for h in r1.history] == [h.mean_loss for h in r2.history]
 
 
+class TestGradNormRecord:
+    def test_tiny_clip_norm_counts_every_step_as_clipped(self):
+        data = tiny_corpus()
+        lines = []
+        config = tiny_config(max_epochs=2, clip_norm=1e-6)
+        result = train(config, data, data, log=lines.append)
+        steps = len(make_batches(data, result.model.vocab, config.batch_size))
+        for h in result.history:
+            assert h.clipped_steps == steps
+            # pre-clip norms, far above the ceiling they were clipped to
+            assert 1e3 * config.clip_norm < h.grad_norm_mean <= h.grad_norm_max
+        assert lines[0].endswith(f"clipped {steps}/{steps}")
+        assert "grad norm mean" in lines[0]
+
+    def test_zero_clip_norm_clips_nothing_but_records_norms(self):
+        data = tiny_corpus()
+        result = train(tiny_config(max_epochs=2, clip_norm=0.0), data, data)
+        for h in result.history:
+            assert h.clipped_steps == 0
+            assert 0.0 < h.grad_norm_mean <= h.grad_norm_max
+            assert np.isfinite(h.grad_norm_max)
+
+
 class TestDivergence:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_names_epoch_and_batch(self):
