@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from slu.config import Config
-from slu.data import build_vocab, load_dataset, make_batches
+from slu.data import load_dataset
 from slu.train import evaluate_model, train
 
 root = Path(__file__).resolve().parent.parent / "sample_data" / "atis16"
@@ -29,8 +29,7 @@ print(logged[-1])
 print(f"best dev epoch: {result.best_epoch}")
 
 vocab = result.model.vocab
-test_report = evaluate_model(
-    result.model, make_batches(splits["test"], vocab, config.batch_size))
+test_report = evaluate_model(result.model, splits["test"])
 print(f"test slot F1 {test_report.slot_f1:.3f}  "
       f"intent acc {test_report.intent_accuracy:.3f}  "
       f"overall {test_report.overall_accuracy:.3f}")

@@ -470,20 +470,6 @@ def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
     return _make_node(data, (a,), backward)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
-    m = np.max(a.data, axis=axis, keepdims=True)
-    shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
-
-    return _make_node(data, (a,), backward)
-
-
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     m = np.max(a.data, axis=axis, keepdims=True)

@@ -23,19 +23,24 @@ from .checkpoint import (
 )
 from .config import ConfigError, build_config, config_hash, parse_overrides
 from .data import (DataError, build_vocab, load_dataset, load_pretrained_embeddings,
-                   load_split, make_batches, utf8_lines)
+                   load_split, utf8_lines)
 from .metrics import AlignmentError, EvalReport, evaluate
 from .train import DivergenceError, evaluate_model, predict_dataset, train
 from . import gradcheck as gradcheck_mod
 
 
-def _write_report(path: str | None, pairs: list[tuple[str, str]]) -> None:
-    text = "".join(f"{k}\t{v}\n" for k, v in pairs)
+def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` to stdout when ``path`` is None or ``-``, else to a
+    UTF-8 file, creating its parent directories."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text(text, encoding="utf-8")
+
+
+def _write_report(path: str | None, pairs: list[tuple[str, str]]) -> None:
+    _write_text(path, "".join(f"{k}\t{v}\n" for k, v in pairs))
 
 
 def _report_pairs(prefix: str, report: EvalReport) -> list[tuple[str, str]]:
@@ -71,9 +76,7 @@ def cmd_train(args) -> int:
     save_checkpoint(args.checkpoint, result.checkpoint)
     print(f"saved best checkpoint (epoch {result.best_epoch}) to {args.checkpoint}")
 
-    test_report = evaluate_model(
-        result.model, make_batches(splits["test"], vocab, config.batch_size)
-    )
+    test_report = evaluate_model(result.model, splits["test"])
     pairs.extend([
         ("train_sentences", str(len(splits["train"]))),
         ("best_epoch", str(result.best_epoch)),
@@ -93,9 +96,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, ckpt = _load_model(args.checkpoint)
     data = load_split(Path(args.data) / args.split, ckpt.config.lowercase)
-    report = evaluate_model(
-        model, make_batches(data, model.vocab, ckpt.config.batch_size)
-    )
+    report = evaluate_model(model, data)
     pairs = [("config_hash", config_hash(ckpt.config)),
              ("split", args.split)]
     pairs.extend(_report_pairs(args.split, report))
@@ -113,12 +114,7 @@ def cmd_predict(args) -> int:
         for token, gold_tag, pred_tag in zip(utt.tokens, utt.slots, pred_tags):
             lines.append(f"{token}\t{gold_tag}\t{pred_tag}")
         lines.append("")
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, encoding="utf-8")
+    _write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
 

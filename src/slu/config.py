@@ -126,11 +126,11 @@ def _coerce_value(key: str, raw) -> object:
     if isinstance(raw, str):
         text = raw.strip()
         try:
-            if ftype == "int" or ftype is int:
+            if ftype == "int":
                 return int(text)
-            if ftype == "float" or ftype is float:
+            if ftype == "float":
                 return float(text)
-            if ftype == "bool" or ftype is bool:
+            if ftype == "bool":
                 low = text.lower()
                 if low in ("true", "1", "yes", "on"):
                     return True

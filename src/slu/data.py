@@ -150,9 +150,12 @@ def load_split(dir_path: str | Path, lowercase: bool = True) -> list[Utterance]:
             )
         if not tokens:
             raise DataError(f"{dir_path} line {lineno}: empty utterance")
+        intent = intent.strip()
+        if not intent:
+            raise DataError(f"{dir_path} line {lineno}: empty intent label")
         if lowercase:
             tokens = [t.lower() for t in tokens]
-        utterances.append(Utterance(tokens, tags, intent.strip()))
+        utterances.append(Utterance(tokens, tags, intent))
     return utterances
 
 
@@ -222,11 +225,15 @@ def load_pretrained_embeddings(
         idx = wanted.get(word)
         if idx is not None and idx > UNK_ID:
             try:
-                table[idx] = np.asarray(values, dtype=np.float32)
+                with np.errstate(over="ignore"):  # an overflow is caught as inf
+                    vector = np.asarray(values, dtype=np.float32)
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: non-numeric vector component"
                 ) from None
+            if not np.isfinite(vector).all():
+                raise DataError(f"{path}:{lineno}: non-finite vector component")
+            table[idx] = vector
             covered.add(idx)
     real_words = max(1, vocab.n_words - 2)
     return table, len(covered) / real_words

@@ -38,15 +38,12 @@ class IntentHead:
         c = ad.maxpool_over_time(H_I, mask)
         return ad.add(ad.matmul(c, self.W), self.b)
 
-    def predict(self, H_I: Tensor, mask: np.ndarray) -> np.ndarray:
-        """Argmax intents; ties break toward the lowest label index."""
-        return self.logits(H_I, mask).data.argmax(axis=-1)
-
 
 def cross_entropy_sum(logits: Tensor, gold: np.ndarray) -> Tensor:
-    """Summed (not averaged) negative log-likelihood of the gold classes."""
-    logp = ad.log_softmax(logits, axis=-1)
-    return ad.scale(ad.tsum(logp[np.arange(logp.shape[0]), np.asarray(gold)]), -1.0)
+    """Summed (not averaged) negative log-likelihood of the gold classes:
+    the sum over rows of logsumexp(logits) minus the gold logit."""
+    picked = logits[np.arange(logits.shape[0]), np.asarray(gold)]
+    return ad.tsum(ad.logsumexp(logits, axis=-1) - picked)
 
 
 class CrfHead:

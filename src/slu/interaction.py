@@ -183,7 +183,7 @@ class InteractionLayer:
         B, n, width = combined.shape
         # Zero padded positions so windows never read pad garbage; beyond-
         # boundary neighbors read the zero edges added on either side.
-        combined = ad.where(mask[:, :, None], combined, ad.Tensor(np.zeros_like(combined.data)))
+        combined = ad.where(mask[:, :, None], combined, 0.0)
         edge = ad.Tensor(np.zeros((B, 1, width), dtype=combined.dtype))
         padded = ad.concat([edge, combined, edge], axis=1)  # (B, n + 2, 2d)
         window = ad.concat([padded[:, :n], combined, padded[:, 2:]], axis=-1)  # (B, n, 6d)

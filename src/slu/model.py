@@ -64,7 +64,8 @@ class JointModel:
 
     def predict(self, token_ids: np.ndarray, mask: np.ndarray
                 ) -> tuple[np.ndarray, list[list[int]]]:
-        """Evaluation-mode decode: (intent ids (B,), slot id paths)."""
+        """Evaluation-mode decode: (intent ids (B,), slot id paths).
+        Intent ties break toward the lowest label index."""
         with ad.no_grad():
             logits, emissions = self.forward(token_ids, mask, training=False)
         intents = logits.data.argmax(axis=-1)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .config import Config, ConfigError
-from .data import Batch, Utterance, Vocab, build_vocab, make_batches
+from .data import Utterance, Vocab, build_vocab, make_batches
 from .metrics import EvalReport, evaluate
 from .model import JointModel
 from .optim import Adam, clip_global_norm
@@ -43,20 +43,10 @@ class TrainResult:
     history: list[EpochStats] = field(default_factory=list)
 
 
-def evaluate_model(model: JointModel, batches: list[Batch]) -> EvalReport:
-    """Evaluation-mode decode over batches, scored against their own gold."""
-    pred: list[tuple[str, list[str]]] = []
-    gold: list[tuple[str, list[str]]] = []
-    vocab = model.vocab
-    for batch in batches:
-        pred.extend(model.predict_batch(batch))
-        for b in range(batch.size):
-            n = batch.lengths[b]
-            gold.append((
-                vocab.id2intent[batch.intent_ids[b]],
-                [vocab.id2slot[s] for s in batch.slot_ids[b, :n]],
-            ))
-    return evaluate(pred, gold)
+def evaluate_model(model: JointModel, data: list[Utterance]) -> EvalReport:
+    """Evaluation-mode decode of ``data``, scored against its own gold."""
+    return evaluate(predict_dataset(model, data),
+                    [(u.intent, u.slots) for u in data])
 
 
 def _improved(report: EvalReport, best: EvalReport | None) -> bool:
@@ -87,7 +77,9 @@ def train(
     model = JointModel(config, vocab, pretrained=pretrained)
     optimizer = Adam(model.params(), lr=config.lr,
                      weight_decay=config.weight_decay)
-    dev_batches = make_batches(dev_data, vocab, config.batch_size)
+    for utt in dev_data:  # an unseen dev label fails now, not after epoch 0
+        vocab.encode_slots(utt.slots)
+        vocab.encode_intent(utt.intent)
 
     best_dev: EvalReport | None = None
     best_epoch = -1
@@ -113,7 +105,7 @@ def train(
             optimizer.step()
             losses.append(value)
 
-        dev_report = evaluate_model(model, dev_batches)
+        dev_report = evaluate_model(model, dev_data)
         stats = EpochStats(
             epoch, float(np.mean(losses)), dev_report,
             grad_norm_mean=float(np.mean(norms)),

@@ -68,6 +68,12 @@ class TestLoadSplit:
         with pytest.raises(DataError, match="empty"):
             load_split(tmp_path)
 
+    @pytest.mark.parametrize("blank", ["", "  \t"])
+    def test_blank_intent_line_rejected(self, tmp_path, blank):
+        write_split(tmp_path, [("a", "O", "x"), ("b", "O", blank)])
+        with pytest.raises(DataError, match=r"line 2: empty intent"):
+            load_split(tmp_path)
+
     def test_lowercasing_is_optional_and_token_only(self, tmp_path):
         write_split(tmp_path, [("Boston NYC", "B-from B-to", "Flight")])
         lowered = load_split(tmp_path, lowercase=True)[0]
@@ -185,6 +191,14 @@ class TestEmbeddings:
         (tmp_path / "vec.txt").write_text("ok 1.0 2.0\nbad 1.0\n")
         with pytest.raises(DataError, match=":2"):
             load_pretrained_embeddings(tmp_path / "vec.txt", vocab, 2, rng)
+
+    @pytest.mark.parametrize("values", ["nan inf 1", "1 -inf 2", "1e39 0 0"])
+    def test_non_finite_component_names_line(self, tmp_path, rng, values):
+        vocab = build_vocab([Utterance(["show"], ["O"], "X")])
+        path = tmp_path / "vec.txt"
+        path.write_text(f"other 1 2 3\nshow {values}\n")
+        with pytest.raises(DataError, match=f"{path}:2: non-finite vector component"):
+            load_pretrained_embeddings(path, vocab, 3, rng)
 
     def test_missing_file(self, tmp_path, rng):
         vocab = build_vocab([Utterance(["a"], ["O"], "X")])

@@ -12,6 +12,7 @@ from slu.decoders import (
     cross_entropy_sum,
     joint_loss,
 )
+from slu.gradcheck import toy_setup
 
 from helpers import (
     assert_close,
@@ -54,12 +55,12 @@ class TestIntentHead:
         logits = head.logits(ad.Tensor(h), np.ones((1, 2), bool)).data
         np.testing.assert_allclose(logits[0], [11.1, -1.2], atol=1e-12)
 
-    def test_argmax_tie_takes_lowest_index(self):
-        head = IntentHead(2, 2, np.random.default_rng(0), dtype=np.float64)
-        head.W.data = np.zeros((2, 2))
-        head.b.data = np.array([0.3, 0.3])
-        pred = head.predict(ad.Tensor(np.ones((1, 1, 2))), np.ones((1, 1), bool))
-        assert pred[0] == 0
+    def test_joint_predict_tie_takes_lowest_index(self):
+        model, batch = toy_setup(seed=0)
+        model.intent_head.W.data[:] = 0.0
+        model.intent_head.b.data[:] = 0.3
+        intents, _ = model.predict(batch.token_ids, batch.mask)
+        assert intents.tolist() == [0] * batch.size
 
     def test_pad_tokens_do_not_reach_the_pool(self, rng):
         head = IntentHead(3, 2, np.random.default_rng(0), dtype=np.float64)
@@ -82,6 +83,23 @@ class TestCrossEntropy:
         logits[0, 2] = 50.0
         loss = cross_entropy_sum(ad.Tensor(logits), np.array([2]))
         assert loss.item() < 1e-6
+
+    def test_matches_numpy_log_softmax(self, rng):
+        x = rng.standard_normal((5, 7)) * 4.0
+        gold = np.array([0, 6, 3, 3, 1])
+        shifted = x - x.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        loss = cross_entropy_sum(ad.Tensor(x, dtype=np.float64), gold)
+        np.testing.assert_allclose(loss.item(), -logp[np.arange(5), gold].sum(),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_gradient_matches_finite_differences(self, rng):
+        gold = np.array([2, 0, 4])
+        x = ad.Tensor(rng.standard_normal((3, 5)), requires_grad=True, dtype=np.float64)
+        cross_entropy_sum(x, gold).backward()
+        numeric = numeric_grad(lambda v: cross_entropy_sum(ad.Tensor(v), gold).item(),
+                               x.data)
+        assert_close(x.grad, numeric)
 
 
 class TestCrfNll:

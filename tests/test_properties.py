@@ -1,6 +1,7 @@
-"""Property tests for the input contracts: whatever bytes a checkpoint
-file or a config file holds, loading it either succeeds or raises the
-module's own error type, which the CLI turns into "exit 1 with a message".
+"""Property tests for the input contracts: whatever bytes a checkpoint,
+config, split, prediction or embedding file holds, loading it either
+succeeds or raises the module's own error type, which the CLI turns into
+"exit 1 with a message".
 
 Example counts are bounded and derandomized, so every run tests the same
 inputs and the suite stays fast.
@@ -11,6 +12,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +23,11 @@ from slu.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from slu.cli import read_prediction_file
 from slu.config import ConfigError, build_config
+from slu.data import DataError, Utterance, build_vocab, load_pretrained_embeddings, load_split
 from slu.gradcheck import toy_setup
+from slu.metrics import evaluate
 
 from helpers import rewrite_header
 
@@ -132,3 +137,95 @@ def test_any_text_parses_as_config_or_raises_config_error(text):
         if isinstance(value, float):
             assert math.isfinite(value)
     json.dumps(config.to_dict())  # a parsed config can be written to a checkpoint
+
+
+# Line pieces that sit near the parsers' edges: separators, blanks, odd
+# whitespace, number spellings and the prediction file's intent marker.
+pieces = st.sampled_from(["", " ", "\t", "\r", "\x85", "\u2028", "a", "B-x", "O",
+                          "# intent:", "nan", "inf", "-1e39", "1_0", "0.5", "é"])
+words = st.sampled_from(["a", "B-x", "O", "é", "nan"])
+text_lines = st.lists(
+    st.one_of(st.lists(pieces, max_size=5).map("".join), st.text(max_size=8)),
+    max_size=5,
+).map("\n".join)
+file_bytes = st.one_of(text_lines.map(lambda t: t.encode("utf-8")),
+                       st.binary(max_size=16))
+
+
+@st.composite
+def aligned_files(draw):
+    """Row-aligned files: one tag per token, so most parse up to the edge
+    cases that the pieces carry (blank fields, odd whitespace)."""
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        tokens = draw(st.lists(words | pieces, max_size=4))
+        tags = [draw(words | pieces) for _ in tokens]
+        rows.append((" ".join(tokens), " ".join(tags), draw(pieces)))
+    return tuple("".join(r[i] + "\n" for r in rows).encode("utf-8") for i in range(3))
+
+
+@given(st.tuples(file_bytes, file_bytes, file_bytes) | aligned_files(),
+       st.just(-1) | st.integers(0, 2))
+@example((b"a\nb\n", b"O\nO\n", b"x\n\n"), -1)
+@PROPERTY
+def test_any_split_directory_loads_or_raises_data_error(contents, missing):
+    split = WORKDIR / "split"
+    split.mkdir(exist_ok=True)
+    for i, (name, raw) in enumerate(zip(("seq.in", "seq.out", "label"), contents)):
+        (split / name).unlink(missing_ok=True)
+        if i != missing:
+            (split / name).write_bytes(raw)
+    try:
+        utterances = load_split(split)
+    except DataError:
+        return
+    for utt in utterances:
+        assert utt.tokens and len(utt.tokens) == len(utt.slots)
+        assert utt.intent and utt.intent == utt.intent.strip()
+
+
+pred_lines = st.one_of(
+    text_lines,
+    st.lists(st.one_of(
+        st.just(""),
+        st.builds("# intent:\t{}\t{}".format, pieces, pieces),
+        st.builds("{}\t{}\t{}".format, pieces, pieces, pieces),
+    ), max_size=8).map("\n".join),
+)
+
+
+@given(st.one_of(pred_lines.map(lambda t: t.encode("utf-8")), st.binary(max_size=16)))
+@example(b"tok\tO\tO\n")
+@PROPERTY
+def test_any_prediction_file_reads_or_raises_data_error(raw):
+    path = WORKDIR / "probe.pred"
+    path.write_bytes(raw)
+    try:
+        pred, gold = read_prediction_file(path)
+    except DataError:
+        return
+    report = evaluate(pred, gold)  # what `slu score` does with a file that reads
+    assert report.sentences == len(gold)
+
+
+VOCAB = build_vocab([Utterance(["show", "a", "é"], ["O", "O", "O"], "x")])
+vector_lines = st.lists(
+    st.builds("{} {}".format, st.sampled_from(["show", "a", "é", "<pad>", "<unk>", "other"]),
+              st.lists(pieces, max_size=4).map(" ".join)),
+    max_size=4,
+).map("\n".join)
+
+
+@given(st.one_of(vector_lines, text_lines).map(lambda t: t.encode("utf-8"))
+       | st.binary(max_size=16))
+@example(b"show nan inf 1\n")
+@PROPERTY
+def test_any_embedding_file_loads_or_raises_data_error(raw):
+    path = WORKDIR / "probe.vec"
+    path.write_bytes(raw)
+    try:
+        table, coverage = load_pretrained_embeddings(path, VOCAB, 3, np.random.default_rng(0))
+    except DataError:
+        return
+    assert table.shape == (VOCAB.n_words, 3) and np.isfinite(table).all()
+    assert 0.0 <= coverage <= 1.0

@@ -16,9 +16,9 @@ from slu.checkpoint import (
     save_checkpoint,
 )
 from slu.config import Config
-from slu.data import Utterance, build_vocab, make_batches
+from slu.data import DataError, Utterance, build_vocab, make_batches
 from slu.gradcheck import toy_setup
-from slu.metrics import EvalReport
+from slu.metrics import EvalReport, evaluate
 from slu.model import JointModel
 from slu.optim import Adam, clip_global_norm
 from slu.train import DivergenceError, _improved, evaluate_model, predict_dataset, train
@@ -99,8 +99,7 @@ class TestEarlyStopping:
         data = tiny_corpus()
         config = tiny_config(max_epochs=4)
         result = train(config, data, data)
-        dev_batches = make_batches(data, result.model.vocab, config.batch_size)
-        fresh = evaluate_model(result.model, dev_batches)
+        fresh = evaluate_model(result.model, data)
         assert fresh.overall_accuracy == result.best_dev.overall_accuracy
         assert fresh.slot_f1 == result.best_dev.slot_f1
         assert result.checkpoint.best_dev["overall_accuracy"] == \
@@ -151,6 +150,19 @@ class TestGradNormRecord:
             assert np.isfinite(h.grad_norm_max)
 
 
+class TestDevLabels:
+    @pytest.mark.parametrize("field,value", [("intent", "unseen"),
+                                             ("slots", ["O", "O", "O", "B-unseen"])])
+    def test_unseen_dev_label_fails_before_the_first_epoch(self, field, value):
+        data = tiny_corpus()
+        dev = tiny_corpus()
+        setattr(dev[-1], field, value)
+        lines = []
+        with pytest.raises(DataError, match="unseen"):
+            train(tiny_config(max_epochs=2), data, dev, log=lines.append)
+        assert lines == []
+
+
 class TestDivergence:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_names_epoch_and_batch(self):
@@ -169,7 +181,7 @@ class TestEvaluateModel:
         data = tiny_corpus()  # 3 "flight" + 3 "fare"
         vocab = build_vocab(data)
         model = JointModel(tiny_config(), vocab)
-        rep = evaluate_model(model, make_batches(data, vocab, 4))
+        rep = evaluate_model(model, data)
         assert 0.0 <= rep.intent_accuracy <= 1.0
         assert rep.sentences == 6
 
@@ -177,9 +189,8 @@ class TestEvaluateModel:
         data = tiny_corpus()
         vocab = build_vocab(data)
         model = JointModel(tiny_config(), vocab)
-        batches = make_batches(data, vocab, 4)
-        a = evaluate_model(model, batches)
-        b = evaluate_model(model, batches)
+        a = evaluate_model(model, data)
+        b = evaluate_model(model, data)
         assert a == b
 
 
@@ -211,10 +222,15 @@ class TestPredictDataset:
         flat = [n for batch in seen for n in batch]
         assert flat == sorted(lengths)
         assert len(got) == len(data)
+        singles = []
         for utt, pred in zip(data, got):
             alone = model.predict_batch(make_batches([utt], vocab, 1)[0])
             assert [pred] == alone
             assert len(pred[1]) == len(utt.tokens)
+            singles += alone
+        # evaluate_model scores exactly what each sentence decodes to alone
+        assert evaluate_model(model, data) == evaluate(
+            singles, [(u.intent, u.slots) for u in data])
 
 
 class TestCheckpoint:
