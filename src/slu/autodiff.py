@@ -3,8 +3,17 @@
 Tensors wrap a numpy array plus an optional gradient buffer. Operations build
 a computation graph on the fly; calling ``backward()`` on a scalar loss walks
 the graph in reverse topological order and accumulates gradients into every
-reachable leaf tensor with ``requires_grad`` set. Gradient buffers are
-allocated lazily, by the first contribution a tensor receives.
+reachable leaf tensor with ``requires_grad`` set.
+
+An op's backward closure takes the gradient of its output and returns one
+contribution per parent, in parent order: a dense array (broadcastable to
+the parent's shape), ``None`` for no gradient, or an ``(index, values)``
+pair that scatters ``values`` into ``parent[index]``. Closures never touch
+a gradient buffer: ``_accumulate``, called only by ``backward()``, owns
+them. It skips parents without ``requires_grad``, stores a first dense
+contribution as a copy in the parent's dtype, adds later ones in place, and
+starts a scatter from zeros (``np.add.at`` for integer-array indices, so
+repeated entries sum).
 
 ``backward()`` frees the graph as it goes: once an intermediate tensor has
 passed its gradient on, its gradient buffer, its parents and its backward
@@ -61,7 +70,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Callable[[np.ndarray], Sequence] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -92,7 +101,7 @@ class Tensor:
         return add(other, self)
 
     def __sub__(self, other):
-        return add(self, scale(_as_tensor(other, ref=self), -1.0))
+        return add(self, mul(_as_tensor(other, ref=self), -1.0))
 
     def __mul__(self, other):
         return mul(self, other)
@@ -101,7 +110,7 @@ class Tensor:
         return mul(other, self)
 
     def __neg__(self):
-        return scale(self, -1.0)
+        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -127,7 +136,10 @@ class Tensor:
         _accumulate(self, np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward(node.grad)
+                for parent, grad in zip(node._parents, node._backward(node.grad),
+                                        strict=True):
+                    if grad is not None and parent.requires_grad:
+                        _accumulate(parent, grad)
                 node.grad = None
                 node._parents = ()
                 node._backward = _freed
@@ -138,21 +150,29 @@ def _freed(g: np.ndarray) -> None:
     ``_topo_order`` refuses to walk through a tensor that carries it."""
 
 
-def _accumulate(node: Tensor, v: np.ndarray) -> None:
-    """Add ``v`` into ``node.grad``; the first contribution is stored as a
-    copy in the node's dtype, so the buffer never aliases another array."""
-    if node.grad is None:
-        node.grad = np.array(np.broadcast_to(v, node.data.shape), dtype=node.data.dtype)
-    else:
-        node.grad += v
+def _accumulate(node: Tensor, v) -> None:
+    """Add one contribution into ``node.grad``.
 
-
-def _grad_buffer(node: Tensor) -> np.ndarray:
-    """The gradient buffer of ``node``, zero-filled on first use, for ops
-    that scatter into part of it."""
+    A dense first contribution is stored as a copy in the node's dtype, so
+    the buffer never aliases another array. An ``(index, values)`` scatter
+    starts from a zero buffer; integer-array indices go through
+    ``np.add.at`` so that entries picked more than once sum, while basic
+    indices (ints, slices) pick each entry at most once and add in place.
+    """
+    if not isinstance(v, tuple):
+        if node.grad is None:
+            node.grad = np.array(np.broadcast_to(v, node.data.shape), dtype=node.data.dtype)
+        else:
+            node.grad += v
+        return
+    idx, values = v
     if node.grad is None:
         node.grad = np.zeros_like(node.data)
-    return node.grad
+    key = idx if isinstance(idx, tuple) else (idx,)
+    if any(isinstance(k, (np.ndarray, list)) for k in key):
+        np.add.at(node.grad, idx, values)
+    else:
+        node.grad[idx] += values
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -219,10 +239,7 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return _make_node(data, (a, b), backward)
 
@@ -233,23 +250,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _make_node(data, (a, b), backward)
-
-
-def scale(a, s: float) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data * s
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * s)
-
-    return _make_node(data, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -272,10 +276,12 @@ def matmul(a, b) -> Tensor:
         data = a.data @ b.data
 
         def backward(g):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            return (
+                _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+                if a.requires_grad else None,
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+                if b.requires_grad else None,
+            )
 
         return _make_node(data, (a, b), backward)
 
@@ -285,10 +291,8 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(rows, m)
-        if a.requires_grad:
-            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, a.data.reshape(rows, k).T @ g2)
+        return ((g2 @ b.data.T).reshape(a.data.shape) if a.requires_grad else None,
+                a.data.reshape(rows, k).T @ g2 if b.requires_grad else None)
 
     return _make_node(data, (a, b), backward)
 
@@ -298,13 +302,9 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape))
-        else:
-            gk = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(gk, a.data.shape))
+        if axis is None or keepdims:
+            return (g,)
+        return (np.expand_dims(g, axis),)
 
     return _make_node(data, (a,), backward)
 
@@ -319,8 +319,7 @@ def reshape(a, shape) -> Tensor:
     data = a.data.reshape(shape)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(a.data.shape))
+        return (g.reshape(a.data.shape),)
 
     return _make_node(data, (a,), backward)
 
@@ -332,8 +331,7 @@ def transpose(a, axes) -> Tensor:
     data = a.data.transpose(axes)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g.transpose(inverse))
+        return (g.transpose(inverse),)
 
     return _make_node(data, (a,), backward)
 
@@ -341,15 +339,10 @@ def transpose(a, axes) -> Tensor:
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     parts = [_as_tensor(t) for t in tensors]
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _accumulate(p, g[tuple(idx)])
+        return np.split(g, splits, axis=axis)
 
     return _make_node(data, parts, backward)
 
@@ -360,31 +353,19 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     data = np.stack([p.data for p in parts], axis=axis)
 
     def backward(g):
-        for p, gp in zip(parts, np.moveaxis(g, axis, 0)):
-            if p.requires_grad:
-                _accumulate(p, gp)
+        return np.moveaxis(g, axis, 0)
 
     return _make_node(data, parts, backward)
 
 
 def getitem(a, idx) -> Tensor:
-    """``a[idx]`` for any numpy index; the gradient scatters back into place.
-
-    With an integer-array index the scatter is ``np.add.at``, so entries
-    picked more than once sum their gradients; basic indices (ints,
-    slices) pick each entry at most once and add in place.
-    """
+    """``a[idx]`` for any numpy index; the gradient scatters back into place,
+    summing over entries picked more than once."""
     a = _as_tensor(a)
     data = a.data[idx]
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        key = idx if isinstance(idx, tuple) else (idx,)
-        if any(isinstance(k, (np.ndarray, list)) for k in key):
-            np.add.at(_grad_buffer(a), idx, g)
-        else:
-            _grad_buffer(a)[idx] += g
+        return ((idx, g),)
 
     return _make_node(data, (a,), backward)
 
@@ -397,10 +378,10 @@ def where(cond: np.ndarray, a, b) -> Tensor:
     data = np.where(cond, a.data, b.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.where(cond, g, 0.0), a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.where(cond, 0.0, g), b.data.shape))
+        return (_unbroadcast(np.where(cond, g, 0.0), a.data.shape)
+                if a.requires_grad else None,
+                _unbroadcast(np.where(cond, 0.0, g), b.data.shape)
+                if b.requires_grad else None)
 
     return _make_node(data, (a, b), backward)
 
@@ -415,8 +396,7 @@ def relu(a) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * (a.data > 0))
+        return (g * (a.data > 0),)
 
     return _make_node(data, (a,), backward)
 
@@ -426,8 +406,7 @@ def sigmoid(a) -> Tensor:
     data = 1.0 / (1.0 + np.exp(-a.data))
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * data * (1.0 - data))
+        return (g * data * (1.0 - data),)
 
     return _make_node(data, (a,), backward)
 
@@ -437,8 +416,7 @@ def tanh(a) -> Tensor:
     data = np.tanh(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * (1.0 - data * data))
+        return (g * (1.0 - data * data),)
 
     return _make_node(data, (a,), backward)
 
@@ -463,9 +441,8 @@ def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
     data = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        if a.requires_grad:
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            _accumulate(a, data * (g - inner))
+        inner = (g * data).sum(axis=axis, keepdims=True)
+        return (data * (g - inner),)
 
     return _make_node(data, (a,), backward)
 
@@ -477,9 +454,8 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     data = out_k if keepdims else np.squeeze(out_k, axis=axis)
 
     def backward(g):
-        if a.requires_grad:
-            gk = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.exp(a.data - out_k) * gk)
+        gk = g if keepdims else np.expand_dims(g, axis)
+        return (np.exp(a.data - out_k) * gk,)
 
     return _make_node(data, (a,), backward)
 
@@ -500,17 +476,13 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     data = xhat * gamma.data + beta.data
 
     def backward(g):
-        if gamma.requires_grad:
-            _accumulate(gamma, _unbroadcast(g * xhat, gamma.data.shape))
-        if beta.requires_grad:
-            _accumulate(beta, _unbroadcast(g, beta.data.shape))
-        if a.requires_grad:
-            gx = g * gamma.data
-            _accumulate(a, inv * (
-                gx
-                - gx.mean(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            ))
+        gx = g * gamma.data
+        da = inv * (
+            gx
+            - gx.mean(axis=-1, keepdims=True)
+            - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+        )
+        return da, _unbroadcast(g * xhat, gamma.data.shape), _unbroadcast(g, beta.data.shape)
 
     return _make_node(data, (a, gamma, beta), backward)
 
@@ -523,15 +495,7 @@ def dropout(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     if not training or p == 0.0:
         return a
     keep = rng.random(a.data.shape) >= p
-    scale_factor = 1.0 / (1.0 - p)
-    factor = keep.astype(a.data.dtype) * scale_factor
-    data = a.data * factor
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * factor)
-
-    return _make_node(data, (a,), backward)
+    return mul(a, Tensor(keep.astype(a.data.dtype) * (1.0 / (1.0 - p))))
 
 
 def maxpool_over_time(a, mask: np.ndarray) -> Tensor:

@@ -167,7 +167,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    result = gradcheck_mod.run(seed=args.seed or 0, quick=args.quick)
+    result = gradcheck_mod.run(seed=args.seed, quick=args.quick)
     for name, err in sorted(result.per_tensor.items()):
         print(f"{name:40s} max rel err {err:.3e}")
     print(f"checked {result.checked} coordinates; "

@@ -91,6 +91,8 @@ class Config:
             raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if self.clip_norm < 0:
             raise ConfigError(f"clip_norm must be non-negative, got {self.clip_norm}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         try:
             AblationMode(self.ablation)
         except ValueError:

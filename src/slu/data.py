@@ -153,6 +153,8 @@ def load_split(dir_path: str | Path, lowercase: bool = True) -> list[Utterance]:
         intent = intent.strip()
         if not intent:
             raise DataError(f"{dir_path} line {lineno}: empty intent label")
+        if "\t" in intent:
+            raise DataError(f"{dir_path} line {lineno}: tab inside intent label")
         if lowercase:
             tokens = [t.lower() for t in tokens]
         utterances.append(Utterance(tokens, tags, intent))

@@ -93,12 +93,13 @@ class CrfHead:
         with exp(T[:S, :S] - max), and the state is renormalised to a
         maximum of 1 with its log scale carried per sequence. Position 0
         always counts; a later step whose mask entry is False carries the
-        state unchanged. The backward pass runs the matching recursion for
-        the posterior marginals: the unary marginals are the emission
-        gradient, their first and last rows the gradients of
+        state unchanged. The backward closure runs the matching recursion
+        for the posterior marginals and returns the float64 gradients
+        ``(dE, dT)`` for the node's two parents: the unary marginals are
+        ``dE``, their first and last rows the gradients of
         ``T[begin, :S]`` and ``T[:S, end]``, and the pairwise marginals
         summed over steps the gradient of ``T[:S, :S]``; every other entry
-        of ``T`` gets zero.
+        of ``T`` gets zero. The engine casts each into its parent's dtype.
 
         Numeric range: internals are float64 whatever the input dtype.
         Emissions enter in log space, so their spread is not limited; a
@@ -152,10 +153,7 @@ class CrfHead:
             dE[:, 0] = G
             dT[self.begin, :S] = G.sum(axis=0)
             dT[:S, :S] = P * (L.T @ R.reshape(-1, S))
-            if emissions.requires_grad:
-                ad._accumulate(emissions, dE)
-            if self.T.requires_grad:
-                ad._accumulate(self.T, dT)
+            return dE, dT
 
         out = log_z.astype(np.result_type(E.dtype, self.T.data.dtype))
         return ad._make_node(out, (emissions, self.T), backward)
@@ -184,7 +182,7 @@ class CrfHead:
     def nll(self, emissions: Tensor, gold: np.ndarray, mask: np.ndarray) -> Tensor:
         """-log P(gold | emissions), summed over the batch."""
         logZ = ad.tsum(self.log_partition(emissions, mask))
-        return ad.add(logZ, ad.scale(self.gold_score(emissions, gold, mask), -1.0))
+        return ad.add(logZ, ad.mul(self.gold_score(emissions, gold, mask), -1.0))
 
     def viterbi(self, emissions: np.ndarray, mask: np.ndarray) -> list[list[int]]:
         """Best-scoring tag path per sequence (max-product with backpointers).
@@ -230,4 +228,4 @@ def joint_loss(intent_logits: Tensor, intent_gold: np.ndarray,
         cross_entropy_sum(intent_logits, intent_gold),
         crf.nll(emissions, slot_gold, mask),
     )
-    return ad.scale(total, 1.0 / B)
+    return ad.mul(total, 1.0 / B)

@@ -44,7 +44,7 @@ def toy_setup(seed: int = 0, ablation: str = "full") -> tuple[JointModel, Batch]
     config = Config(
         embed_dim=8, hidden_dim=8, num_layers=2, num_heads=2, ffn_dim=16,
         dropout=0.0, encoder_dropout=0.0, ablation=ablation, seed=seed,
-    )
+    ).validate()
     vocab = Vocab(
         id2word=["<pad>", "<unk>", "w2", "w3", "w4", "w5", "w6", "w7", "w8"],
         id2slot=["O", "B-a", "I-a", "B-b"],

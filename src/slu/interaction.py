@@ -60,7 +60,7 @@ def multi_head_attention(Q: Tensor, K: Tensor, V: Tensor, key_mask: np.ndarray,
         return ad.transpose(ad.reshape(x, (B, n, num_heads, dk)), (0, 2, 1, 3))
 
     q, k, v = split(Q), split(K), split(V)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dk))
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), Tensor(1.0 / np.sqrt(dk)))
     A = ad.softmax(scores, axis=-1, mask=key_mask[:, None, None, :])
     A = ad.dropout(A, dropout_p, rng, training)
     ctx = ad.matmul(A, v)

@@ -94,7 +94,7 @@ def test_c01_gradient_suite():
     ops = {
         "add": lambda x: s(ad.add(x, aux)),
         "mul": lambda x: s(ad.mul(x, aux)),
-        "scale": lambda x: s(ad.scale(x, -1.7)),
+        "scale": lambda x: s(ad.mul(x, -1.7)),
         "matmul": lambda x: ad.tsum(ad.matmul(x, mat)),
         "tsum": lambda x: ad.tsum(ad.tsum(x, axis=0, keepdims=True)),
         "reshape": lambda x: s(ad.reshape(ad.reshape(x, (12,)), (3, 4))),
@@ -106,7 +106,7 @@ def test_c01_gradient_suite():
             x[np.array([0, 2, 0, 1]), np.array([3, 0, 3, 2])],
             ad.Tensor(np.array([1.0, -2.0, 0.5, 3.0])))),
         "stack": lambda x: ad.tsum(ad.mul(
-            ad.stack([x, aux, ad.scale(x, 2.0)], axis=1),
+            ad.stack([x, aux, ad.mul(x, 2.0)], axis=1),
             ad.Tensor(np.stack([proj.data, aux.data, proj.data], axis=1)))),
         "where": lambda x: s(ad.where(mask34, x, aux)),
         "relu": lambda x: s(ad.relu(x)),

@@ -240,6 +240,46 @@ class TestBackward:
         assert y._backward is None
 
 
+class TestBackwardContract:
+    """A closure returns one contribution per parent; only the engine
+    writes gradient buffers."""
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_wrong_number_of_contributions_raises(self, count):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        y = ad._make_node(x.data * 2.0, (x,), lambda g: (g,) * count)
+        with pytest.raises(ValueError):
+            ad.tsum(y).backward()
+
+    def test_none_and_constant_parents_get_no_gradient(self):
+        x = ad.Tensor(np.ones(3), requires_grad=True)
+        skipped = ad.Tensor(np.ones(3), requires_grad=True)
+        const = ad.Tensor(np.ones(3))
+        y = ad._make_node(x.data.copy(), (x, skipped, const), lambda g: (g, None, g))
+        ad.tsum(y).backward()
+        np.testing.assert_array_equal(x.grad, np.ones(3))
+        assert skipped.grad is None
+        assert const.grad is None
+
+    @pytest.mark.parametrize("scatter_first", [False, True], ids=["dense_first", "scatter_first"])
+    def test_dense_and_repeated_scatter_sum(self, scatter_first):
+        x = ad.Tensor(np.zeros(4), requires_grad=True)
+        dense = np.array([1.0, 2.0, 3.0, 4.0])
+        scatter = (np.array([2, 2, 0]), np.array([10.0, 20.0, 30.0]))
+        grads = (scatter, dense) if scatter_first else (dense, scatter)
+        ad._make_node(np.zeros(()), (x, x), lambda g: grads).backward()
+        np.testing.assert_array_equal(x.grad, [31.0, 2.0, 33.0, 4.0])
+        np.testing.assert_array_equal(dense, [1.0, 2.0, 3.0, 4.0])
+
+    def test_float64_contribution_is_stored_in_node_dtype(self):
+        x = ad.Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        third = np.full(3, 1.0 / 3.0)
+        y = ad._make_node(np.zeros((), dtype=np.float32), (x,), lambda g: (third,))
+        y.backward()
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, third.astype(np.float32))
+
+
 class TestFiniteDifferences:
     """Every primitive's backward against the central-difference oracle."""
 
@@ -275,8 +315,10 @@ class TestFiniteDifferences:
     def test_transpose(self, rng):
         fd_check_unary(ad.transpose, rng.standard_normal((2, 3, 4)), axes=(0, 2, 1))
 
-    def test_scale(self, rng):
-        fd_check_unary(ad.scale, rng.standard_normal((3, 4)), s=-2.5)
+    @pytest.mark.parametrize("b", [-2.5, np.array([0.5, -1.0, 2.0, 3.0])],
+                             ids=["scalar", "broadcast_row"])
+    def test_mul(self, rng, b):
+        fd_check_unary(ad.mul, rng.standard_normal((3, 4)), b=b)
 
     def test_getitem_slice_last_axis(self, rng):
         fd_check_unary(ad.getitem, rng.standard_normal((2, 3, 6)),

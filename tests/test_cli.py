@@ -275,6 +275,10 @@ class TestGradcheckCommand:
         assert "gradient check passed" in out
         assert "worst relative error" in out
 
+    def test_negative_seed_exits_1(self, capsys):
+        assert main(["gradcheck", "--quick", "--seed", "-1"]) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+
 
 class TestArgparseBehavior:
     def test_no_subcommand_is_usage_error(self):

@@ -74,6 +74,14 @@ class TestLoadSplit:
         with pytest.raises(DataError, match=r"line 2: empty intent"):
             load_split(tmp_path)
 
+    def test_tab_inside_intent_rejected(self, tmp_path):
+        # `slu predict` writes tab-separated intent lines, so an intent with
+        # a tab in it would make a prediction file `slu score` cannot read.
+        write_split(tmp_path, [("a", "O", "x"), ("b", "O", "atis\tflight")])
+        with pytest.raises(DataError, match=r"line 2: tab inside intent") as exc:
+            load_split(tmp_path)
+        assert str(tmp_path) in str(exc.value)
+
     def test_lowercasing_is_optional_and_token_only(self, tmp_path):
         write_split(tmp_path, [("Boston NYC", "B-from B-to", "Flight")])
         lowered = load_split(tmp_path, lowercase=True)[0]

@@ -1,14 +1,17 @@
 """Property tests for the input contracts: whatever bytes a checkpoint,
 config, split, prediction or embedding file holds, loading it either
 succeeds or raises the module's own error type, which the CLI turns into
-"exit 1 with a message".
+"exit 1 with a message". A last property drives ``cli.main`` itself.
 
 Example counts are bounded and derandomized, so every run tests the same
 inputs and the suite stays fast.
 """
 
+import contextlib
+import io
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -23,13 +26,13 @@ from slu.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from slu.cli import read_prediction_file
+from slu.cli import main, read_prediction_file
 from slu.config import ConfigError, build_config
 from slu.data import DataError, Utterance, build_vocab, load_pretrained_embeddings, load_split
 from slu.gradcheck import toy_setup
 from slu.metrics import evaluate
 
-from helpers import rewrite_header
+from helpers import CORRUPT_CHECKPOINTS, rewrite_header
 
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 _TMP = tempfile.TemporaryDirectory(prefix="slu-properties-")  # removed at exit
@@ -182,6 +185,7 @@ def test_any_split_directory_loads_or_raises_data_error(contents, missing):
     for utt in utterances:
         assert utt.tokens and len(utt.tokens) == len(utt.slots)
         assert utt.intent and utt.intent == utt.intent.strip()
+        assert "\t" not in utt.intent  # prediction files are tab-separated
 
 
 pred_lines = st.one_of(
@@ -229,3 +233,114 @@ def test_any_embedding_file_loads_or_raises_data_error(raw):
         return
     assert table.shape == (VOCAB.n_words, 3) and np.isfinite(table).all()
     assert 0.0 <= coverage <= 1.0
+
+
+
+# ``cli.main`` end to end. A drawn case is an argv plus the files it names;
+# the test writes them into CLI_DIR, emptied first. The checkpoints are
+# written once.
+CLI_DIR = WORKDIR / "cli"
+CKPT_DIR = WORKDIR / "checkpoints"
+CKPT_DIR.mkdir()
+CHECKPOINTS = []
+for _name, _corrupt in {"valid": lambda raw: raw, **CORRUPT_CHECKPOINTS}.items():
+    (CKPT_DIR / f"{_name}.ckpt").write_bytes(_corrupt(VALID))
+    CHECKPOINTS.append(str(CKPT_DIR / f"{_name}.ckpt"))
+CHECKPOINTS += [str(CKPT_DIR / "missing.ckpt"), str(CKPT_DIR)]
+TOY_SHAPE = ["--set", "embed_dim=4", "--set", "hidden_dim=8", "--set", "num_layers=1",
+             "--set", "num_heads=2", "--set", "ffn_dim=16"]
+
+
+@st.composite
+def toy_split(draw):
+    """Split files over the toy checkpoint's words and labels, so most of
+    them load, train and decode; an unseen word is one draw away."""
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        tokens = draw(st.lists(st.sampled_from(["w2", "w5", "w8", "new"]),
+                               min_size=1, max_size=4))
+        tags = [draw(st.sampled_from(["O", "B-a", "I-a", "B-b"])) for _ in tokens]
+        rows.append((" ".join(tokens), " ".join(tags),
+                     draw(st.sampled_from(["x", "y", "z"]))))
+    return tuple("".join(r[i] + "\n" for r in rows).encode("utf-8") for i in range(3))
+
+
+def draw_data_root(draw, files: dict) -> str:
+    """A dataset root whose splits are toy-labelled, edge-case aligned,
+    arbitrary bytes or absent; the dev split is ``dev`` or ``valid``."""
+    root = CLI_DIR / "data"
+    for split in ("train", draw(st.sampled_from(["dev", "valid"])), "test"):
+        kind = draw(st.integers(0, 9))  # mostly, and shrinking towards, a toy split
+        if kind < 9:
+            contents = draw(toy_split() if kind < 7 else aligned_files() if kind == 7
+                            else st.tuples(file_bytes, file_bytes, file_bytes))
+            for name, raw in zip(("seq.in", "seq.out", "label"), contents):
+                files[root / split / name] = raw
+    return str(root)
+
+
+def draw_file(draw, files: dict, name: str, text: st.SearchStrategy) -> str:
+    """The path of a file holding drawn text or bytes, or of no file."""
+    raw = draw(text.map(lambda t: t.encode("utf-8")) | st.binary(max_size=16) | st.none())
+    if raw is not None:
+        files[CLI_DIR / name] = raw
+    return str(CLI_DIR / name)
+
+
+@st.composite
+def cli_cases(draw):
+    files: dict = {}
+    command = draw(st.sampled_from(["train", "eval", "predict", "score", "gradcheck"]))
+    argv = [command]
+    if command == "train":
+        argv += ["--data", draw_data_root(draw, files),
+                 "--checkpoint", str(CLI_DIR / "out.ckpt"),
+                 "--out", str(CLI_DIR / "report.txt")]
+        if draw(st.booleans()):
+            argv += ["--config", draw_file(draw, files, "run.cfg",
+                                           st.lists(config_lines, max_size=4).map("\n".join))]
+        if draw(st.booleans()):
+            argv += ["--embeddings", draw_file(draw, files, "vectors.txt",
+                                               vector_lines | text_lines)]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(st.sampled_from(["0", "3", "-1", "x"]))]
+        for item in draw(st.lists(st.sampled_from(
+                ["dropout=0.5", "lowercase=false", "lr=nan", "seed=-2", "batch_size=0",
+                 "ablation=bogus", "no_such_key=1", "novalue"]), max_size=1)):
+            argv += ["--set", item]
+        argv += TOY_SHAPE + ["--set", "max_epochs=1"]
+    elif command in ("eval", "predict"):
+        argv += ["--data", draw_data_root(draw, files),
+                 "--checkpoint", draw(st.sampled_from(CHECKPOINTS))]
+        if draw(st.booleans()):
+            argv += ["--split", draw(st.sampled_from(["train", "dev", "test", "valid"]))]
+    elif command == "score":
+        argv += [draw_file(draw, files, "probe.pred", pred_lines)]
+    else:
+        # A gradcheck that runs takes seconds, so only seeds that fail
+        # early are drawn; tests/test_cli.py runs a passing one.
+        argv += ["--quick", "--seed", draw(st.sampled_from(["-1", "-30", "x", "0.5"]))]
+    if command != "train" and draw(st.booleans()):
+        argv += ["--out", str(CLI_DIR / "out.txt")]
+    argv += draw(st.sampled_from([[], [], [], ["--no-such-flag"]]))
+    return argv, files
+
+
+@given(cli_cases())
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+def test_cli_main_exits_0_or_1(case):
+    argv, files = case
+    shutil.rmtree(CLI_DIR, ignore_errors=True)
+    for path, raw in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(raw)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv  # argparse's usage error
+            return
+    assert rc in (0, 1), argv
+    if rc == 1:
+        assert stderr.getvalue().startswith("error: "), (argv, stderr.getvalue())
