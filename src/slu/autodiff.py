@@ -12,8 +12,8 @@ pair that scatters ``values`` into ``parent[index]``. Closures never touch
 a gradient buffer: ``_accumulate``, called only by ``backward()``, owns
 them. It skips parents without ``requires_grad``, stores a first dense
 contribution as a copy in the parent's dtype, adds later ones in place, and
-starts a scatter from zeros (``np.add.at`` for integer-array indices, so
-repeated entries sum).
+starts a scatter from zeros, summing repeated entries (a sorted row sum for
+one integer array on axis 0, ``np.add.at`` for other integer-array indices).
 
 ``backward()`` frees the graph as it goes: once an intermediate tensor has
 passed its gradient on, its gradient buffer, its parents and its backward
@@ -23,6 +23,16 @@ calls on fresh graphs until explicitly zeroed.
 
 Arrays are float32 by default; pass float64 data for the gradient-check
 configuration. Masks and index arrays are plain numpy arrays, never Tensors.
+
+Dtype contract: a model computes in its parameter dtype. An op's result
+has the ``np.result_type`` of its operands, so a float32 model's graph is
+float32 from the embedding lookup to the loss and a float64 one is float64
+throughout. An op constant is therefore a Python float, which
+``_as_tensor(x, ref=...)`` casts to the operand's dtype, or an array
+already in that dtype; a NumPy float64 scalar or array would promote a
+float32 operand to float64 (NEP 50) and everything downstream with it. An
+op may compute internally at higher precision (the fused CRF
+log-partition runs in float64) as long as its output keeps that dtype.
 """
 
 from __future__ import annotations
@@ -155,9 +165,14 @@ def _accumulate(node: Tensor, v) -> None:
 
     A dense first contribution is stored as a copy in the node's dtype, so
     the buffer never aliases another array. An ``(index, values)`` scatter
-    starts from a zero buffer; integer-array indices go through
-    ``np.add.at`` so that entries picked more than once sum, while basic
-    indices (ints, slices) pick each entry at most once and add in place.
+    starts from a zero buffer. Entries picked more than once must sum:
+
+    * one integer array, indexing axis 0 (an embedding lookup): a stable
+      sort groups the repeated rows, ``np.add.reduceat`` sums each group in
+      its original order, and the sums add into the distinct rows;
+    * any other index holding an integer array goes through ``np.add.at``;
+    * basic indices (ints, slices) pick each entry at most once and add in
+      place.
     """
     if not isinstance(v, tuple):
         if node.grad is None:
@@ -168,6 +183,15 @@ def _accumulate(node: Tensor, v) -> None:
     idx, values = v
     if node.grad is None:
         node.grad = np.zeros_like(node.data)
+    if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu":
+        if idx.size:
+            rows = idx.reshape(-1) % node.data.shape[0]  # negative ids wrap
+            order = np.argsort(rows, kind="stable")
+            rows = rows[order]
+            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            flat = values.reshape((idx.size,) + node.data.shape[1:])
+            node.grad[rows[starts]] += np.add.reduceat(flat[order], starts, axis=0)
+        return
     key = idx if isinstance(idx, tuple) else (idx,)
     if any(isinstance(k, (np.ndarray, list)) for k in key):
         np.add.at(node.grad, idx, values)

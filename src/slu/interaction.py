@@ -16,6 +16,8 @@ can be measured in isolation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import autodiff as ad
@@ -49,7 +51,9 @@ def multi_head_attention(Q: Tensor, K: Tensor, V: Tensor, key_mask: np.ndarray,
     """Scaled dot-product attention with head splitting and a key-side mask.
 
     Inputs are (B, n, dm) projections; heads are split from dm, attended
-    independently, and concatenated back. No output projection.
+    independently, and concatenated back. No output projection. The
+    1/sqrt(dk) scale is a Python float, so it takes the scores' dtype and
+    a float32 model stays float32.
     """
     B, n, dm = Q.data.shape
     if dm % num_heads != 0:
@@ -60,7 +64,7 @@ def multi_head_attention(Q: Tensor, K: Tensor, V: Tensor, key_mask: np.ndarray,
         return ad.transpose(ad.reshape(x, (B, n, num_heads, dk)), (0, 2, 1, 3))
 
     q, k, v = split(Q), split(K), split(V)
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), Tensor(1.0 / np.sqrt(dk)))
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
     A = ad.softmax(scores, axis=-1, mask=key_mask[:, None, None, :])
     A = ad.dropout(A, dropout_p, rng, training)
     ctx = ad.matmul(A, v)

@@ -41,7 +41,12 @@ class Adam:
     """Standard Adam with bias correction; decay is applied outside the moments.
 
     ``step()`` reads gradients and leaves them untouched; the caller zeroes
-    them between batches.
+    them between batches. It updates each parameter array in place: the
+    moments and the update are computed with ``out=`` into two scratch
+    arrays per parameter, views of flat buffers as large as the largest
+    parameter of each dtype, so a step allocates no full-size temporary.
+    Gradients must have their parameter's dtype, as ``backward()`` stores
+    them.
     """
 
     params: list[Param]
@@ -53,11 +58,18 @@ class Adam:
     step_count: int = 0
     _m: list[np.ndarray] = field(default_factory=list, repr=False)
     _v: list[np.ndarray] = field(default_factory=list, repr=False)
+    _scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        for p in self.params:
-            self._m.append(np.zeros_like(p.tensor.data))
-            self._v.append(np.zeros_like(p.tensor.data))
+        arrays = [p.tensor.data for p in self.params]
+        largest: dict[np.dtype, int] = {}
+        for a in arrays:
+            self._m.append(np.zeros_like(a))
+            self._v.append(np.zeros_like(a))
+            largest[a.dtype] = max(largest.get(a.dtype, 0), a.size)
+        flat = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in largest.items()}
+        self._scratch = [tuple(buf[:a.size].reshape(a.shape) for buf in flat[a.dtype])
+                         for a in arrays]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -68,17 +80,20 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for p, m, v in zip(self.params, self._m, self._v):
+        for p, m, v, (s, r) in zip(self.params, self._m, self._v, self._scratch):
             g = p.tensor.grad
             if g is None:
                 continue
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            update = self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            np.multiply(g, g, out=s)
+            v += np.multiply(s, 1.0 - self.beta2, out=s)
+            np.divide(m, bc1, out=s)  # m_hat
+            s *= self.lr
+            np.sqrt(np.divide(v, bc2, out=r), out=r)  # sqrt(v_hat)
+            r += self.epsilon
+            s /= r  # the update
             if p.decay and self.weight_decay > 0.0:
-                update = update + self.lr * self.weight_decay * p.tensor.data
-            p.tensor.data = (p.tensor.data - update).astype(p.tensor.data.dtype)
+                s += np.multiply(p.tensor.data, self.lr * self.weight_decay, out=r)
+            p.tensor.data -= s

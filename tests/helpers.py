@@ -149,6 +149,54 @@ def bilstm_oracle(enc, embedded, mask: np.ndarray):
                       lstm_oracle_run(enc.bwd, embedded, mask, reverse=True)], axis=-1)
 
 
+def graph_dtype_census(loss) -> dict[str, dict[str, float]]:
+    """Node count and activation MiB per dtype over every tensor that
+    ``loss.backward()`` visits: ``loss`` and its ancestors reached through
+    parents that require a gradient. Call it before ``backward()``, which
+    frees the graph. Keys are dtype names, e.g.
+    ``{"float32": {"nodes": 581, "activation_mib": 89.2}}``.
+    """
+    seen = {id(loss)}
+    stack = [loss]
+    census: dict[str, dict[str, float]] = {}
+    while stack:
+        node = stack.pop()
+        row = census.setdefault(node.data.dtype.name, {"nodes": 0, "activation_mib": 0.0})
+        row["nodes"] += 1
+        row["activation_mib"] += node.data.nbytes / 2**20
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return census
+
+
+def adam_step_oracle(opt) -> None:
+    """One ``Adam.step`` in its earlier, allocating form: every moment and
+    update is a fresh array and the parameter array is replaced.
+
+    Reference for the in-place ``Adam.step``, which must give the same bits.
+    """
+    opt.step_count += 1
+    t = opt.step_count
+    bc1 = 1.0 - opt.beta1 ** t
+    bc2 = 1.0 - opt.beta2 ** t
+    for p, m, v in zip(opt.params, opt._m, opt._v):
+        g = p.tensor.grad
+        if g is None:
+            continue
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        update = opt.lr * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+        if p.decay and opt.weight_decay > 0.0:
+            update = update + opt.lr * opt.weight_decay * p.tensor.data
+        p.tensor.data = (p.tensor.data - update).astype(p.tensor.data.dtype)
+
+
 def rewrite_header(raw: bytes, edit) -> bytes:
     """Checkpoint bytes with the JSON header replaced by ``edit(header)``."""
     n = int.from_bytes(raw[4:12], "little")

@@ -280,6 +280,42 @@ class TestBackwardContract:
         np.testing.assert_array_equal(x.grad, third.astype(np.float32))
 
 
+class TestRowScatter:
+    """A ``getitem`` by one integer array on axis 0 (an embedding lookup)
+    scatters its gradient with a sorted row sum; ``np.add.at`` is the
+    oracle."""
+
+    @pytest.mark.parametrize("ids", [
+        np.array([[3, 0, 3], [5, 3, 0]]),  # repeated and unsorted
+        np.array([4, 1, 1, 6, 0, 4, 4]),
+        np.array([2]),  # single id
+        np.array([[1], [1]]),
+        np.array([-1, 6, 0, -7]),  # negative ids wrap onto the same rows
+        np.zeros((2, 0), dtype=np.int64),  # empty index
+    ], ids=["repeated_2d", "repeated_1d", "single", "single_repeated", "negative", "empty"])
+    def test_matches_add_at(self, rng, ids):
+        table = rng.standard_normal((7, 5))
+        r = rng.standard_normal(ids.shape + (5,))
+        tt = ad.Tensor(table, requires_grad=True)
+        ad.tsum(ad.mul(tt[ids], ad.Tensor(r))).backward()
+        expected = np.zeros_like(table)
+        np.add.at(expected, ids, r)
+        np.testing.assert_allclose(tt.grad, expected, rtol=1e-12, atol=1e-12)
+
+    def test_dense_then_row_scatter_sum(self, rng):
+        table = rng.standard_normal((6, 4))
+        ids = np.array([[5, 1, 5], [1, 1, 2]])
+        r = rng.standard_normal((2, 3, 4))
+        dense = rng.standard_normal((6, 4))
+        tt = ad.Tensor(table, requires_grad=True)
+        loss = ad.add(ad.tsum(ad.mul(tt, ad.Tensor(dense))),
+                      ad.tsum(ad.mul(tt[ids], ad.Tensor(r))))
+        loss.backward()
+        expected = dense.copy()
+        np.add.at(expected, ids, r)
+        np.testing.assert_allclose(tt.grad, expected, rtol=1e-12, atol=1e-12)
+
+
 class TestFiniteDifferences:
     """Every primitive's backward against the central-difference oracle."""
 

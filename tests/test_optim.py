@@ -6,6 +6,8 @@ import pytest
 from slu import autodiff as ad
 from slu.optim import Adam, Param, clip_global_norm
 
+from helpers import adam_step_oracle
+
 
 def _param(value, name="w", decay=True):
     t = ad.Tensor(np.array(value, dtype=np.float64), requires_grad=True)
@@ -84,6 +86,48 @@ class TestAdam:
             assert cur <= prev + 1e-12
             prev = cur
         assert prev < 0.5
+
+
+class TestInPlaceAdam:
+    """``Adam.step`` updates in place with the same operations, in the same
+    order, as the allocating form kept in ``helpers.adam_step_oracle``."""
+
+    SHAPES = [((6, 5), np.float32, True), ((5,), np.float32, False),
+              ((), np.float32, True), ((3, 4), np.float64, True),
+              ((0, 3), np.float32, True), ((7,), np.float32, True)]
+
+    def _params(self):
+        rng = np.random.default_rng(11)
+        return [Param(f"p{i}", ad.Tensor(rng.standard_normal(shape).astype(dtype),
+                                         requires_grad=True), decay)
+                for i, (shape, dtype, decay) in enumerate(self.SHAPES)]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_three_steps_bit_identical_to_allocating_step(self, weight_decay):
+        ours, theirs = self._params(), self._params()
+        opt = Adam(ours, lr=0.05, weight_decay=weight_decay)
+        ref = Adam(theirs, lr=0.05, weight_decay=weight_decay)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            for a, b in zip(ours, theirs):
+                g = rng.standard_normal(a.tensor.shape).astype(a.tensor.dtype)
+                a.tensor.grad, b.tensor.grad = g, g.copy()
+            ours[-1].tensor.grad = theirs[-1].tensor.grad = None  # skipped
+            opt.step()
+            adam_step_oracle(ref)
+            for a, b in zip(ours, theirs):
+                assert a.tensor.dtype == b.tensor.dtype
+                np.testing.assert_array_equal(a.tensor.data, b.tensor.data)
+            for m, m_ref in zip(opt._m + opt._v, ref._m + ref._v):
+                np.testing.assert_array_equal(m, m_ref)
+
+    def test_step_updates_the_parameter_array_in_place(self):
+        p = _param([1.0, -2.0])
+        data = p.tensor.data
+        p.tensor.grad = np.array([1.0, 1.0])
+        Adam([p], lr=0.1).step()
+        assert p.tensor.data is data
+        np.testing.assert_allclose(data, [0.9, -2.1], atol=1e-6)
 
 
 class TestClipping:

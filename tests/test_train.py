@@ -15,7 +15,7 @@ from slu.checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from slu.config import Config
+from slu.config import AblationMode, Config
 from slu.data import DataError, Utterance, build_vocab, make_batches
 from slu.gradcheck import toy_setup
 from slu.metrics import EvalReport, evaluate
@@ -23,7 +23,7 @@ from slu.model import JointModel
 from slu.optim import Adam, clip_global_norm
 from slu.train import DivergenceError, _improved, evaluate_model, predict_dataset, train
 
-from helpers import CORRUPT_CHECKPOINTS
+from helpers import CORRUPT_CHECKPOINTS, graph_dtype_census
 
 
 def tiny_config(**overrides):
@@ -54,6 +54,45 @@ def report(overall, f1=0.5):
                       intent_accuracy=overall, overall_accuracy=overall,
                       gold_chunks=4, pred_chunks=4, correct_chunks=2,
                       sentences=4, correct_sentences=2)
+
+
+class TestDtypeContract:
+    """A model computes in its parameter dtype: no op constant may promote
+    a float32 graph to float64, and a float64 graph stays float64."""
+
+    @pytest.mark.parametrize("mode", list(AblationMode), ids=lambda m: m.value)
+    def test_float32_training_graph_is_float32(self, mode):
+        ref, batch = toy_setup(seed=2, ablation=mode.value)
+        config = ref.config.replace(dropout=0.1, encoder_dropout=0.1)
+        model = JointModel(config, ref.vocab, dtype=np.float32)
+        loss = model.loss(batch, training=True)
+        census = graph_dtype_census(loss)
+        assert set(census) == {"float32"}, census
+        loss.backward()
+        for p in model.params():
+            assert p.tensor.grad is None or p.tensor.grad.dtype == np.float32, p.name
+
+    @pytest.mark.parametrize("mode", list(AblationMode), ids=lambda m: m.value)
+    def test_gradcheck_graph_is_float64(self, mode):
+        model, batch = toy_setup(seed=2, ablation=mode.value)
+        census = graph_dtype_census(model.loss(batch, training=False))
+        assert set(census) == {"float64"}, census
+
+    def test_float32_predict_forward_is_float32(self, monkeypatch):
+        ref, batch = toy_setup(seed=2)
+        model = JointModel(ref.config, ref.vocab, dtype=np.float32)
+        seen = []
+        forward = model.forward
+
+        def spy(*args, **kwargs):
+            seen.append(forward(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(model, "forward", spy)
+        model.predict(batch.token_ids, batch.mask)
+        (logits, emissions), = seen
+        assert logits.dtype == np.float32
+        assert emissions.dtype == np.float32
 
 
 class TestDescentSanity:
