@@ -371,17 +371,6 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     return _make_node(data, parts, backward)
 
 
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack equal-shape tensors along a new axis."""
-    parts = [_as_tensor(t) for t in tensors]
-    data = np.stack([p.data for p in parts], axis=axis)
-
-    def backward(g):
-        return np.moveaxis(g, axis, 0)
-
-    return _make_node(data, parts, backward)
-
-
 def getitem(a, idx) -> Tensor:
     """``a[idx]`` for any numpy index; the gradient scatters back into place,
     summing over entries picked more than once."""
@@ -421,26 +410,6 @@ def relu(a) -> Tensor:
 
     def backward(g):
         return (g * (a.data > 0),)
-
-    return _make_node(data, (a,), backward)
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        return (g * data * (1.0 - data),)
-
-    return _make_node(data, (a,), backward)
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    data = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - data * data),)
 
     return _make_node(data, (a,), backward)
 

@@ -2,14 +2,18 @@
 
 Each direction has its own LSTM weights; the two hidden sequences are
 concatenated feature-wise, so the output width is ``hidden_dim`` with
-``hidden_dim // 2`` units per direction. Both directions step together in
-one time loop.
+``hidden_dim // 2`` units per direction. The BiLSTM is one autodiff node
+with a hand-written backward through time: both directions step together
+in one numpy time loop, the node keeps each step's gate activations, cell
+states, ``tanh(c)`` and hidden states, and its backward forms the weight,
+bias and input gradients once over all steps after the reverse loop. The
+length reversal is plain indexing, so no gradient is scattered.
 
 Masking contract: the mask marks a prefix of each row, so pads trail the
 real tokens. The backward direction reads each sequence reversed within
 its length, so pads trail in its stream too and no real position ever
-reads a pad; pad outputs are zeroed once, after the loop. Appending pad
-tokens therefore cannot change any real position.
+reads a pad; pad outputs are zeroed once, after the loop, and get no
+gradient. Appending pad tokens therefore cannot change any real position.
 """
 
 from __future__ import annotations
@@ -111,30 +115,97 @@ class Encoder:
         The backward direction reads each sequence reversed within its
         length (as TensorFlow's ``reverse_sequence``): time t maps to
         len-1-t on real positions and to itself on pads. The map is its own
-        inverse, so it also puts the backward outputs back in place. The
-        two directions' weights are stacked on a leading axis, and the
-        input half of ``W`` is applied to all time steps before the loop.
+        inverse, so plain indexing by it both reverses the inputs and puts
+        the outputs back in place, forward and backward, with no scatter.
+
+        The recursion is one graph node with parents ``(embedded, fwd.W,
+        fwd.b, bwd.W, bwd.b)``, in plain numpy. The two directions' weights
+        are stacked on a leading axis; the input half of ``W`` goes over
+        every step in one GEMM before the loop, and each step is one
+        ``(2, B, dh) @ (2, dh, 4dh)`` product. The node keeps the gate
+        activations, cell states, ``tanh(c)`` and hidden states, time by
+        time in ``(2, n, B, ·)`` buffers. Its backward walks the steps in
+        reverse, one ``(2, B, 4dh) @ (2, 4dh, dh)`` product each, into a
+        buffer of gate gradients; both halves of each ``W`` gradient, the
+        bias gradient and the input gradient are then formed once over
+        all steps (the weight-gradient hoisting of Appleyard et al.,
+        arXiv 1604.01946).
         """
         B, n, e = embedded.shape
         dh = self.hidden_dim // 2
+        mask = np.asarray(mask, dtype=bool)
+        rows = np.arange(B)[:, None]
         steps = np.arange(n)
         lengths = mask.sum(axis=1, keepdims=True)
-        rev = (np.arange(B)[:, None], np.where(mask, lengths - 1 - steps, steps))
-        W = ad.stack([self.fwd.W, self.bwd.W])  # (2, e + dh, 4dh)
-        b = ad.stack([self.fwd.b, self.bwd.b])[:, None]  # (2, 1, 4dh)
-        x = ad.reshape(ad.stack([embedded, embedded[rev]]), (2, B * n, e))
-        xW = ad.reshape(ad.add(ad.matmul(x, W[:, :e]), b), (2, B, n, 4 * dh))
+        rev = np.where(mask, lengths - 1 - steps, steps)  # (B, n), an involution per row
+        W = np.stack([self.fwd.W.data, self.bwd.W.data])  # (2, e + dh, 4dh)
+        b = np.stack([self.fwd.b.data, self.bwd.b.data])  # (2, 4dh)
+        x = embedded.data
+        # Time-major inputs per direction: x2[1, t, b] = x[b, rev[b, t]].
+        x2 = np.stack([x.transpose(1, 0, 2), x[rows.T, rev.T]]).reshape(2, n * B, e)
+        xW = (x2 @ W[:, :e] + b[:, None]).reshape(2, n, B, 4 * dh)
         W_h = W[:, e:]
-        h = c = Tensor(np.zeros((2, B, dh), dtype=embedded.dtype))
-        hs = []
+        dtype = xW.dtype
+        gates = np.empty((2, n, B, 4 * dh), dtype)  # i, f, o after sigmoid; g after tanh
+        cs = np.zeros((2, n + 1, B, dh), dtype)  # cs[:, t + 1] is c_t; cs[:, 0] = 0
+        hs = np.zeros((2, n + 1, B, dh), dtype)  # likewise for h_t
+        tcs = np.empty((2, n, B, dh), dtype)  # tanh(c_t)
         for t in range(n):
-            gates = ad.add(xW[:, :, t], ad.matmul(h, W_h))
-            ifo = ad.sigmoid(gates[..., :3 * dh])
-            i, f, o = ifo[..., :dh], ifo[..., dh:2 * dh], ifo[..., 2 * dh:]
-            g = ad.tanh(gates[..., 3 * dh:])
-            c = ad.add(ad.mul(f, c), ad.mul(i, g))
-            h = ad.mul(o, ad.tanh(c))
-            hs.append(h)
-        H = ad.stack(hs, axis=2)  # (2, B, n, dh)
-        out = ad.concat([H[0], H[(1, *rev)]], axis=-1)
-        return ad.where(mask[:, :, None], out, 0.0)
+            a = hs[:, t] @ W_h
+            a += xW[:, t]
+            gt = gates[:, t]
+            ifo = gt[..., :3 * dh]
+            np.negative(a[..., :3 * dh], out=ifo)
+            np.exp(ifo, out=ifo)
+            ifo += 1.0
+            np.reciprocal(ifo, out=ifo)
+            np.tanh(a[..., 3 * dh:], out=gt[..., 3 * dh:])
+            c = np.multiply(gt[..., dh:2 * dh], cs[:, t], out=cs[:, t + 1])
+            c += gt[..., :dh] * gt[..., 3 * dh:]
+            np.tanh(c, out=tcs[:, t])
+            np.multiply(gt[..., 2 * dh:3 * dh], tcs[:, t], out=hs[:, t + 1])
+        out = np.concatenate([hs[0, 1:].transpose(1, 0, 2), hs[1, 1:][rev, rows]], axis=-1)
+        out[~mask] = 0.0
+
+        def backward(g):
+            # Upstream gradient per direction, time-major; pad outputs are constant zero.
+            dH = np.stack([g[..., :dh].transpose(1, 0, 2), g[rows.T, rev.T, dh:]])
+            dH[:, ~mask.T] = 0.0
+            sig = gates[..., :3 * dh]
+            i, f, o, gg = (gates[..., k * dh:(k + 1) * dh] for k in range(4))
+            # Per-step factors that turn dc (gates i, f, g) or dh (gate o)
+            # into pre-activation gradients, and dh into its share of dc.
+            F = np.empty_like(gates)
+            np.multiply(sig, 1.0 - sig, out=F[..., :3 * dh])
+            F[..., :dh] *= gg
+            F[..., dh:2 * dh] *= cs[:, :n]
+            F[..., 2 * dh:3 * dh] *= tcs
+            np.multiply(i, 1.0 - gg * gg, out=F[..., 3 * dh:])
+            K = o * (1.0 - tcs * tcs)
+            dA = np.empty_like(gates)
+            W_hT = np.swapaxes(W_h, -1, -2)
+            dc_next = np.zeros((2, B, dh), dtype)
+            for t in range(n - 1, -1, -1):
+                dh_t = dH[:, t]
+                dc = dh_t * K[:, t]
+                dc += dc_next
+                da = dA[:, t]
+                np.multiply(F[:, t].reshape(2, B, 4, dh), dc[:, :, None],
+                            out=da.reshape(2, B, 4, dh))
+                np.multiply(F[:, t, :, 2 * dh:3 * dh], dh_t, out=da[..., 2 * dh:3 * dh])
+                if t:
+                    dH[:, t - 1] += da @ W_hT
+                    dc_next = dc * f[:, t]
+            dA2 = dA.reshape(2, n * B, 4 * dh)
+            dW = np.empty_like(W)
+            np.matmul(np.swapaxes(x2, 1, 2), dA2, out=dW[:, :e])
+            np.matmul(np.swapaxes(hs[:, :n].reshape(2, n * B, dh), 1, 2), dA2, out=dW[:, e:])
+            db = dA2.sum(axis=1)
+            dx = None
+            if embedded.requires_grad:
+                dx2 = (dA2 @ np.swapaxes(W[:, :e], 1, 2)).reshape(2, n, B, e)
+                dx = dx2[0].transpose(1, 0, 2) + dx2[1][rev, rows]
+            return dx, dW[0], db[0], dW[1], db[1]
+
+        return ad._make_node(out, (embedded, self.fwd.W, self.fwd.b, self.bwd.W, self.bwd.b),
+                             backward)

@@ -21,12 +21,15 @@ class Param:
 def clip_global_norm(params: list[Param], max_norm: float) -> float:
     """Scale all gradients jointly so their global L2 norm is <= max_norm.
 
-    Returns the pre-clip norm. ``max_norm == 0`` disables clipping.
+    Returns the pre-clip norm. ``max_norm == 0`` disables clipping. The
+    squares are summed in float64 without a full-size float64 copy of any
+    gradient.
     """
     total = 0.0
     for p in params:
         if p.tensor.grad is not None:
-            total += float((p.tensor.grad.astype(np.float64) ** 2).sum())
+            g = p.tensor.grad.ravel()
+            total += float(np.einsum("i,i->", g, g, dtype=np.float64))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         ratio = max_norm / norm

@@ -6,6 +6,7 @@ rule throughout: |a - b| <= tol * max(1, |a|, |b|).
 """
 
 import json
+from typing import Iterable
 
 import numpy as np
 
@@ -112,6 +113,42 @@ def fd_check_unary(op, x: np.ndarray, tol: float = FD_TOL, **kwargs):
     assert_close(t.grad, numeric_grad(f, x64), tol)
 
 
+# Generic ops the package does not need: the composed LSTM oracle below is
+# built from them, and engine tests use them as a nonlinearity or a
+# many-parent node.
+
+
+def sigmoid(a) -> ad.Tensor:
+    a = ad._as_tensor(a)
+    data = 1.0 / (1.0 + np.exp(-a.data))
+
+    def backward(g):
+        return (g * data * (1.0 - data),)
+
+    return ad._make_node(data, (a,), backward)
+
+
+def tanh(a) -> ad.Tensor:
+    a = ad._as_tensor(a)
+    data = np.tanh(a.data)
+
+    def backward(g):
+        return (g * (1.0 - data * data),)
+
+    return ad._make_node(data, (a,), backward)
+
+
+def stack(tensors: Iterable[ad.Tensor], axis: int = 0) -> ad.Tensor:
+    """Stack equal-shape tensors along a new axis."""
+    parts = [ad._as_tensor(t) for t in tensors]
+    data = np.stack([p.data for p in parts], axis=axis)
+
+    def backward(g):
+        return np.moveaxis(g, axis, 0)
+
+    return ad._make_node(data, parts, backward)
+
+
 def lstm_oracle_run(cell, embedded, mask: np.ndarray, reverse: bool):
     """One LSTM direction stepped position by position, masked per step.
 
@@ -131,16 +168,16 @@ def lstm_oracle_run(cell, embedded, mask: np.ndarray, reverse: bool):
         m_t = mask[:, t][:, None]
         x_h = ad.concat([embedded[:, t], h], axis=-1)
         gates = ad.add(ad.matmul(x_h, cell.W), cell.b)
-        i = ad.sigmoid(gates[:, :dh])
-        f = ad.sigmoid(gates[:, dh:2 * dh])
-        o = ad.sigmoid(gates[:, 2 * dh:3 * dh])
-        g = ad.tanh(gates[:, 3 * dh:])
+        i = sigmoid(gates[:, :dh])
+        f = sigmoid(gates[:, dh:2 * dh])
+        o = sigmoid(gates[:, 2 * dh:3 * dh])
+        g = tanh(gates[:, 3 * dh:])
         c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h_new = ad.mul(o, ad.tanh(c_new))
+        h_new = ad.mul(o, tanh(c_new))
         h = ad.where(m_t, h_new, h)
         c = ad.where(m_t, c_new, c)
         outputs[t] = ad.where(m_t, h, zero)
-    return ad.stack(outputs, axis=1)
+    return stack(outputs, axis=1)
 
 
 def bilstm_oracle(enc, embedded, mask: np.ndarray):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slu import autodiff as ad
+from slu import encoder
 from slu.encoder import Encoder
 
 from helpers import assert_close, bilstm_oracle, numeric_grad
@@ -114,29 +115,89 @@ class TestEncoderDropout:
         np.testing.assert_array_equal(out, enc.encode(self.ids, self.mask).data)
 
 
+def lengths_mask(lengths, n):
+    return np.arange(n)[None, :] < np.asarray(lengths)[:, None]
+
+
 class TestOracle:
-    """``bilstm`` against both directions stepped apart with per-step masks."""
+    """The one-node ``bilstm`` against both directions stepped apart with
+    per-step masks (``helpers.bilstm_oracle``), built from generic ops."""
 
-    # Ragged rows of lengths 5, 3, 1 and 0; pads use id 8, which no real
-    # token uses, so its embedding row must get no gradient.
-    ids = np.array([[1, 2, 3, 4, 5], [6, 7, 1, 8, 8], [2, 8, 8, 8, 8], [8, 8, 8, 8, 8]])
-    mask = np.arange(5)[None, :] < np.array([5, 3, 1, 0])[:, None]
+    # (B, n) shapes with rows of full length, a middle length, 1 and 0.
+    cases = {"ragged": [5, 3, 1, 0], "one_token": [1], "full_and_empty": [4, 0, 4]}
 
-    def run(self, fn):
-        enc = make_encoder(vocab=9, e=6, d=8, seed=4)
-        r = np.random.default_rng(5).standard_normal((4, 5, 8))
-        out = fn(enc, enc.embedding[self.ids], self.mask)
+    def run(self, fn, lengths, dtype):
+        n = max(max(lengths), 1)
+        enc = make_encoder(vocab=9, e=6, d=8, seed=4, dtype=dtype)
+        rng = np.random.default_rng(5)
+        x = ad.Tensor(rng.standard_normal((len(lengths), n, 6)).astype(dtype), requires_grad=True)
+        r = rng.standard_normal((len(lengths), n, 8)).astype(dtype)
+        out = fn(enc, x, lengths_mask(lengths, n))
         ad.tsum(ad.mul(out, ad.Tensor(r))).backward()
-        grads = [t.grad for t in (enc.embedding, enc.fwd.W, enc.fwd.b, enc.bwd.W, enc.bwd.b)]
-        return out.data, grads
+        return out, [t.grad for t in (x, enc.fwd.W, enc.fwd.b, enc.bwd.W, enc.bwd.b)]
+
+    def check(self, case, dtype, out_tol, grad_tol):
+        lengths = self.cases[case]
+        out, grads = self.run(lambda enc, x, m: enc.bilstm(x, m), lengths, dtype)
+        ref, ref_grads = self.run(bilstm_oracle, lengths, dtype)
+        assert out.dtype == dtype and all(g.dtype == dtype for g in grads)
+        assert_close(out.data, ref.data, out_tol)
+        for g, ref_g in zip(grads, ref_grads):
+            assert_close(g, ref_g, grad_tol)
+        pads = ~lengths_mask(lengths, out.shape[1])
+        np.testing.assert_array_equal(out.data[pads], 0.0)
+        np.testing.assert_array_equal(grads[0][pads], 0.0)
 
     def test_outputs_and_gradients_match(self):
-        out, grads = self.run(lambda enc, x, m: enc.bilstm(x, m))
-        ref, ref_grads = self.run(bilstm_oracle)
-        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
-        for g, ref_g in zip(grads, ref_grads):
-            assert_close(g, ref_g, 1e-4)
-        np.testing.assert_array_equal(grads[0][8], 0.0)
+        self.check("ragged", np.float64, 1e-12, 1e-8)
+
+    @pytest.mark.parametrize("case", ["one_token", "full_and_empty"])
+    def test_float64_edge_shapes(self, case):
+        self.check(case, np.float64, 1e-12, 1e-8)
+
+    @pytest.mark.parametrize("case", list(cases))
+    def test_float32(self, case):
+        self.check(case, np.float32, 1e-4, 1e-4)
+
+
+class TestOneNode:
+    """``bilstm`` is a single graph node over the input and the four weights."""
+
+    def test_one_node_five_parents_no_scatter(self, monkeypatch):
+        class NoAddAt:  # np.add whose unbuffered scatter raises
+            def __getattr__(self, name):
+                return getattr(np.add, name)
+
+            def __call__(self, *args, **kwargs):
+                return np.add(*args, **kwargs)
+
+            def at(self, *args, **kwargs):
+                raise AssertionError("np.add.at called")
+
+        class Numpy:
+            add = NoAddAt()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(ad, "np", Numpy())
+        monkeypatch.setattr(encoder, "np", Numpy())
+        enc = make_encoder()
+        x = ad.Tensor(np.random.default_rng(1).standard_normal((3, 4, 8)), requires_grad=True)
+        out = enc.bilstm(x, lengths_mask([4, 2, 1], 4))
+        assert out._parents == (x, enc.fwd.W, enc.fwd.b, enc.bwd.W, enc.bwd.b)
+        assert all(p._parents == () for p in out._parents)
+        ad.tsum(out).backward()
+        assert all(p.grad is not None for p in (x, enc.fwd.W, enc.fwd.b, enc.bwd.W, enc.bwd.b))
+
+    def test_no_grad_gives_a_plain_tensor(self):
+        enc = make_encoder()
+        x = ad.Tensor(np.ones((2, 3, 8)), requires_grad=True)
+        mask = lengths_mask([3, 1], 3)
+        with ad.no_grad():
+            out = enc.bilstm(x, mask)
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        np.testing.assert_array_equal(out.data, enc.bilstm(x, mask).data)
 
 
 class TestDirectionSymmetry:

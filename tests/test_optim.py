@@ -155,3 +155,21 @@ class TestClipping:
         a.tensor.grad = np.array([30.0, 40.0])
         clip_global_norm([a], max_norm=0.0)
         np.testing.assert_array_equal(a.tensor.grad, [30.0, 40.0])
+
+    def test_norm_matches_float64_copy_reference(self):
+        # The norm sums squares in float64 without copying a gradient; it
+        # must agree with the plain reference that casts every one first.
+        rng = np.random.default_rng(4)
+        grads = [(rng.standard_normal(shape) * 3.0).astype(dtype)
+                 for shape, dtype in [((64, 33), np.float32), ((7,), np.float64),
+                                      ((2, 9, 4), np.float64), ((5, 3), np.float32)]]
+        grads[1:1] = [None]
+        grads.append(None)
+        params = []
+        for g in grads:
+            p = _param(np.zeros(1 if g is None else g.shape))
+            p.tensor.grad = g
+            params.append(p)
+        ref = np.sqrt(sum((g.astype(np.float64) ** 2).sum() for g in grads if g is not None))
+        norm = clip_global_norm(params, max_norm=0.0)
+        assert abs(norm - ref) <= 1e-12 * ref
