@@ -37,12 +37,12 @@ numeric = (loss_at(base[i, j] + step) - loss_at(base[i, j] - step)) / (2 * step)
 print(f"analytic dloss/dW[{i},{j}] = {W.grad[i, j]:.8f}")
 print(f"numeric  dloss/dW[{i},{j}] = {numeric:.8f}")
 
-# Softmax with a mask: masked positions get zero probability and the
-# rest renormalize. This is how attention ignores padding.
-scores = ad.Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
-mask = np.array([[True, True, True, False]])
-probs = ad.softmax(scores, axis=-1, mask=mask)
-print(f"masked softmax: {np.round(probs.data, 4)} (last entry is padding)")
+# Softmax over a row of scores. Attention ignores padding by setting the
+# pad keys' scores to -inf before it (inside its fused node), so they get
+# zero probability and the rest renormalize.
+scores = ad.Tensor(np.array([[1.0, 2.0, 3.0, -np.inf]]))
+probs = ad.softmax(scores, axis=-1)
+print(f"softmax: {np.round(probs.data, 4)} (last entry is padding)")
 
 # no_grad() turns off graph recording, as used during evaluation.
 with ad.no_grad():

@@ -36,11 +36,13 @@ for mode in [AblationMode.FULL, AblationMode.SELF_ATTENTION,
 
 # Label attention in isolation: with orthogonal label columns, each
 # position mixes in a weighted average of the label embeddings.
-from slu.interaction import label_attention
+# Inside the stack every stage runs on packed rows: the real positions of
+# the batch, one row each, with no pads.
+from slu.interaction import RowMap, label_attention
 
 W_labels = ad.Tensor(np.eye(d)[:, :n_slots])
-H_small = ad.Tensor(rng.normal(size=(1, 2, d)))
-out = label_attention(H_small, W_labels, mask[:, :2])
+H_small = ad.Tensor(rng.normal(size=(2, d)))  # two real rows
+out = label_attention(H_small, W_labels, RowMap(mask[:, :2]))
 delta = out.data - H_small.data
 print(f"\nlabel attention moved positions by mean |delta| = "
       f"{float(np.abs(delta).mean()):.4f}")
@@ -55,5 +57,6 @@ H_I1, H_S1 = stack.forward(H, W_intent, W_slot, mask_pad)
 H_junk = ad.Tensor(H.data.copy())
 H_junk.data[0, 3] = 99.0
 H_I2, H_S2 = stack.forward(H_junk, W_intent, W_slot, mask_pad)
-real_rows_equal = np.allclose(H_S1.data[0, :3], H_S2.data[0, :3], atol=1e-5)
+real_rows_equal = np.array_equal(H_S1.data[0, :3], H_S2.data[0, :3])
 print(f"\npadded position junk left real rows unchanged: {real_rows_equal}")
+print(f"pad rows of both streams are zero: {not H_I1.data[0, 3].any() and not H_S1.data[0, 3].any()}")

@@ -338,16 +338,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        return (g.reshape(a.data.shape),)
-
-    return _make_node(data, (a,), backward)
-
-
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
@@ -383,22 +373,6 @@ def getitem(a, idx) -> Tensor:
     return _make_node(data, (a,), backward)
 
 
-def where(cond: np.ndarray, a, b) -> Tensor:
-    """Elementwise select by a constant boolean mask; gradients route by it."""
-    a = _as_tensor(a)
-    b = _as_tensor(b, ref=a)
-    cond = np.asarray(cond, dtype=bool)
-    data = np.where(cond, a.data, b.data)
-
-    def backward(g):
-        return (_unbroadcast(np.where(cond, g, 0.0), a.data.shape)
-                if a.requires_grad else None,
-                _unbroadcast(np.where(cond, 0.0, g), b.data.shape)
-                if b.requires_grad else None)
-
-    return _make_node(data, (a, b), backward)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities and normalizers
 # ---------------------------------------------------------------------------
@@ -414,19 +388,10 @@ def relu(a) -> Tensor:
     return _make_node(data, (a,), backward)
 
 
-def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
-    """Numerically stabilized softmax; masked positions are exactly zero.
-
-    ``mask`` is a boolean array broadcastable to ``a``; True marks entries
-    that participate. Every softmax group must keep at least one entry.
-    """
+def softmax(a, axis: int = -1) -> Tensor:
+    """Numerically stabilized softmax along ``axis``."""
     a = _as_tensor(a)
     x = a.data
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if not mask.any(axis=axis).all():
-            raise ValueError("softmax group is fully masked")
-        x = np.where(mask, x, -np.inf)
     # Non-finite inputs (a diverging model) flow through as NaN output
     # rather than erroring here, so the caller can see the NaN loss.
     m = np.max(x, axis=axis, keepdims=True)
@@ -480,14 +445,24 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _make_node(data, (a, gamma, beta), backward)
 
 
-def dropout(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: identity in evaluation mode, scaled mask in training."""
+def dropout(a, p: float, rng: np.random.Generator, training: bool,
+            pad_mask: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout: identity in evaluation mode, scaled mask in training.
+
+    With ``pad_mask``, a (B, n) boolean mask, ``a`` holds the real rows of a
+    padded (B, n, ...) tensor, packed as ``pad_mask`` selects them: the keep
+    mask is drawn at the padded shape and its real rows kept, so the random
+    stream advances as it would for the padded tensor.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     a = _as_tensor(a)
     if not training or p == 0.0:
         return a
-    keep = rng.random(a.data.shape) >= p
+    if pad_mask is None:
+        keep = rng.random(a.data.shape) >= p
+    else:
+        keep = rng.random(pad_mask.shape + a.data.shape[1:])[pad_mask] >= p
     return mul(a, Tensor(keep.astype(a.data.dtype) * (1.0 / (1.0 - p))))
 
 

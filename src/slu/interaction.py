@@ -12,6 +12,21 @@ Each layer runs three stages:
 
 Ablation modes rewire individual stages so each connection's contribution
 can be measured in isolation.
+
+Packed layout: every stage is position-wise except attention, so the stack
+never computes on pad positions. ``InteractionStack.forward`` builds a
+``RowMap`` from the mask, gathers the real rows of the encoder output into
+one ``(N, d)`` tensor (sentence after sentence, N real tokens in all), runs
+every layer on those rows and scatters both streams back into zeros of
+shape ``(B, n, d)`` at exit, as ByteTransformer's padding-free transformer
+does (Zhai et al., arXiv 2210.03052). The window FFN reads a row's
+sentence neighbours from the rows just above and below it, zeroed by the
+row map's edge masks where the sentence ends. ``multi_head_attention`` is
+one graph node, the only place the padded layout still exists: it
+scatters its packed inputs into ``(B, h, n, dk)`` heads, masks the pad
+keys once and gathers the real rows of its result. Every dropout draws
+its keep mask at the padded shape and keeps the real rows, so a seed
+draws the same masks as it would over the padded batch.
 """
 
 from __future__ import annotations
@@ -27,48 +42,149 @@ from .encoder import uniform_init
 from .optim import Param
 
 
-def label_attention(H: Tensor, W: Tensor, mask: np.ndarray,
+class RowMap:
+    """Where the real rows of a padded ``(B, n)`` batch sit once packed.
+
+    ``rows`` holds the flat index ``b * n + t`` of each real position in
+    row-major order, so packed rows run sentence after sentence and a
+    row's sentence neighbours t-1 and t+1, when real, are the packed rows
+    just above and below it. ``left`` and ``right`` are ``(N, 1)`` edge
+    masks: True where that neighbour exists.
+    """
+
+    __slots__ = ("mask", "rows", "left", "right")
+
+    def __init__(self, mask: np.ndarray):
+        mask = np.asarray(mask, dtype=bool)
+        if not mask.any(axis=1).all():
+            raise ValueError("a sequence has no real tokens")
+        self.mask = mask
+        self.rows = np.flatnonzero(mask)
+        left = np.zeros_like(mask)
+        left[:, 1:] = mask[:, :-1]
+        right = np.zeros_like(mask)
+        right[:, :-1] = mask[:, 1:]
+        self.left = left[mask][:, None]
+        self.right = right[mask][:, None]
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """(B, n, ...) -> (N, ...): the real rows."""
+        B, n = self.mask.shape
+        return x.reshape((B * n,) + x.shape[2:])[self.rows]
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """(N, ...) -> (B, n, ...): the rows in place, zeros at pads."""
+        B, n = self.mask.shape
+        out = np.zeros((B * n,) + x.shape[1:], dtype=x.dtype)
+        out[self.rows] = x
+        return out.reshape((B, n) + x.shape[1:])
+
+
+def pack(H: Tensor, rows: RowMap) -> Tensor:
+    """(B, n, d) states -> (N, d) real rows; pad rows get no gradient."""
+    return ad._make_node(rows.gather(H.data), (H,), lambda g: (rows.scatter(g),))
+
+
+def unpack(X: Tensor, rows: RowMap) -> Tensor:
+    """(N, d) real rows -> (B, n, d) states, exactly zero at pads."""
+    return ad._make_node(rows.scatter(X.data), (X,), lambda g: (rows.gather(g),))
+
+
+def label_attention(H: Tensor, W: Tensor, rows: RowMap,
                     dropout_p: float = 0.0,
                     rng: np.random.Generator | None = None,
                     training: bool = False) -> Tensor:
-    """Fold label embeddings into hidden states: H + softmax(H W) W^T.
+    """Fold label embeddings into packed states: H + softmax(H W) W^T.
 
     ``W`` is the tied d x |labels| decoder matrix; the attention weight of
-    each position distributes over the label axis. Masked positions pass
-    through unchanged.
+    each row distributes over the label axis.
     """
     A = ad.softmax(ad.matmul(H, W), axis=-1)
-    A = ad.dropout(A, dropout_p, rng, training)
-    update = ad.matmul(A, ad.transpose(W, (1, 0)))
-    out = ad.add(H, update)
-    return ad.where(mask[:, :, None], out, H)
+    A = ad.dropout(A, dropout_p, rng, training, pad_mask=rows.mask)
+    return ad.add(H, ad.matmul(A, ad.transpose(W, (1, 0))))
 
 
-def multi_head_attention(Q: Tensor, K: Tensor, V: Tensor, key_mask: np.ndarray,
+def multi_head_attention(Q: Tensor, K: Tensor, V: Tensor, rows: RowMap,
                          num_heads: int, dropout_p: float = 0.0,
                          rng: np.random.Generator | None = None,
                          training: bool = False) -> Tensor:
-    """Scaled dot-product attention with head splitting and a key-side mask.
+    """Scaled dot-product attention over packed (N, dm) rows, as one node.
 
-    Inputs are (B, n, dm) projections; heads are split from dm, attended
-    independently, and concatenated back. No output projection. The
-    1/sqrt(dk) scale is a Python float, so it takes the scores' dtype and
-    a float32 model stays float32.
+    Heads are split from dm, attended independently within each sentence
+    and concatenated back; no output projection. The forward scatters the
+    rows into zero-padded (B, h, n, dk) heads, forms the scores with one
+    product, masks the pad keys once in place, then runs softmax, dropout
+    (a keep mask drawn at the (B, h, n, n) shape) and the context product,
+    and gathers the real rows. The backward forms dV, then the gradient of
+    the weights, then the softmax backward A * (dA - sum(dA * A)) times
+    the scale, then dQ and dK: FlashAttention's fused forward and backward
+    (Dao et al., arXiv 2205.14135) without the tiling. The 1/sqrt(dk)
+    scale is a Python float, so a float32 model stays float32.
     """
-    B, n, dm = Q.data.shape
+    dm = Q.shape[-1]
     if dm % num_heads != 0:
         raise ConfigError(f"model width {dm} is not divisible by {num_heads} heads")
     dk = dm // num_heads
+    B, n = rows.mask.shape
+    scale = 1.0 / math.sqrt(dk)
 
-    def split(x: Tensor) -> Tensor:
-        return ad.transpose(ad.reshape(x, (B, n, num_heads, dk)), (0, 2, 1, 3))
+    def heads(x: np.ndarray) -> np.ndarray:  # (N, dm) -> (B, h, n, dk)
+        return rows.scatter(x).reshape(B, n, num_heads, dk).transpose(0, 2, 1, 3)
 
-    q, k, v = split(Q), split(K), split(V)
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
-    A = ad.softmax(scores, axis=-1, mask=key_mask[:, None, None, :])
-    A = ad.dropout(A, dropout_p, rng, training)
-    ctx = ad.matmul(A, v)
-    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, n, dm))
+    def merge(x: np.ndarray) -> np.ndarray:  # (B, h, n, dk) -> (N, dm)
+        return rows.gather(x.transpose(0, 2, 1, 3).reshape(B, n, dm))
+
+    q, k, v = heads(Q.data), heads(K.data), heads(V.data)
+    A = q @ k.swapaxes(-1, -2)
+    A *= scale
+    np.copyto(A, -np.inf, where=~rows.mask[:, None, None, :])
+    A -= A.max(axis=-1, keepdims=True)
+    np.exp(A, out=A)
+    A /= A.sum(axis=-1, keepdims=True)
+    keep = None
+    if training and dropout_p > 0.0:
+        keep = (rng.random(A.shape) >= dropout_p).astype(A.dtype) * (1.0 / (1.0 - dropout_p))
+    A_used = A if keep is None else A * keep
+    out = merge(A_used @ v)
+
+    def backward(g):
+        G = heads(g)
+        dV = merge(A_used.swapaxes(-1, -2) @ G)
+        dA = G @ v.swapaxes(-1, -2)
+        if keep is not None:
+            dA *= keep
+        dA -= (dA * A).sum(axis=-1, keepdims=True)
+        dA *= A
+        dA *= scale
+        return merge(dA @ k), merge(dA.swapaxes(-1, -2) @ q), dV
+
+    return ad._make_node(out, (Q, K, V), backward)
+
+
+def window(H_I: Tensor, H_S: Tensor, rows: RowMap) -> Tensor:
+    """Each packed row's [x_{t-1}, x_t, x_{t+1}] window, x = [H_I, H_S].
+
+    (N, d) streams -> (N, 6d). The neighbour blocks are the rows shifted
+    by one, times the row map's edge masks, so a neighbour beyond the
+    sentence reads zeros.
+    """
+    d = H_I.shape[-1]
+    w = np.empty((H_I.shape[0], 6 * d), dtype=H_I.dtype)
+    x = w[:, 2 * d:4 * d]
+    x[:, :d] = H_I.data
+    x[:, d:] = H_S.data
+    w[:1, :2 * d] = 0.0
+    np.multiply(x[:-1], rows.left[1:], out=w[1:, :2 * d])
+    w[-1:, 4 * d:] = 0.0
+    np.multiply(x[1:], rows.right[:-1], out=w[:-1, 4 * d:])
+
+    def backward(g):
+        dx = g[:, 2 * d:4 * d].copy()
+        dx[:-1] += g[1:, :2 * d] * rows.left[1:]
+        dx[1:] += g[:-1, 4 * d:] * rows.right[:-1]
+        return dx[:, :d], dx[:, d:]
+
+    return ad._make_node(w, (H_I, H_S), backward)
 
 
 class _LayerNormParams:
@@ -146,15 +262,15 @@ class InteractionLayer:
         out.extend(self.ln_i_out.params())
         return out
 
-    def cross_attention(self, H_I: Tensor, H_S: Tensor, mask: np.ndarray,
-                         dropout_p, rng, training) -> tuple[Tensor, Tensor]:
+    def cross_attention(self, H_I: Tensor, H_S: Tensor, rows: RowMap,
+                        dropout_p, rng, training) -> tuple[Tensor, Tensor]:
         w = self._weights
         mode = self.mode
         if mode == AblationMode.SELF_ATTENTION:
             X = ad.concat([H_S, H_I], axis=-1)
             ctx = multi_head_attention(
                 ad.matmul(X, w["self_q"]), ad.matmul(X, w["self_k"]),
-                ad.matmul(X, w["self_v"]), mask, self.num_heads,
+                ad.matmul(X, w["self_v"]), rows, self.num_heads,
                 dropout_p, rng, training,
             )
             fused = self.ln_self(ad.add(X, ctx))
@@ -164,7 +280,7 @@ class InteractionLayer:
         if mode != AblationMode.SLOT_TO_INTENT_ONLY:
             C_S = multi_head_attention(
                 ad.matmul(H_S, w["q_s"]), ad.matmul(H_I, w["k_i"]),
-                ad.matmul(H_I, w["v_i"]), mask, self.num_heads,
+                ad.matmul(H_I, w["v_i"]), rows, self.num_heads,
                 dropout_p, rng, training,
             )
             new_S = self.ln_s(ad.add(H_S, C_S))
@@ -173,7 +289,7 @@ class InteractionLayer:
         if mode != AblationMode.INTENT_TO_SLOT_ONLY:
             C_I = multi_head_attention(
                 ad.matmul(H_I, w["q_i"]), ad.matmul(H_S, w["k_s"]),
-                ad.matmul(H_S, w["v_s"]), mask, self.num_heads,
+                ad.matmul(H_S, w["v_s"]), rows, self.num_heads,
                 dropout_p, rng, training,
             )
             new_I = self.ln_i(ad.add(H_I, C_I))
@@ -181,38 +297,30 @@ class InteractionLayer:
             new_I = self.ln_i(H_I)
         return new_I, new_S
 
-    def ffn_fuse(self, H_I: Tensor, H_S: Tensor, mask: np.ndarray,
-                  dropout_p, rng, training) -> tuple[Tensor, Tensor]:
-        combined = ad.concat([H_I, H_S], axis=-1)  # (B, n, 2d)
-        B, n, width = combined.shape
-        # Zero padded positions so windows never read pad garbage; beyond-
-        # boundary neighbors read the zero edges added on either side.
-        combined = ad.where(mask[:, :, None], combined, 0.0)
-        edge = ad.Tensor(np.zeros((B, 1, width), dtype=combined.dtype))
-        padded = ad.concat([edge, combined, edge], axis=1)  # (B, n + 2, 2d)
-        window = ad.concat([padded[:, :n], combined, padded[:, 2:]], axis=-1)  # (B, n, 6d)
-        del padded  # without a graph to hold it, free it before the FFN GEMMs
-        hidden = ad.relu(ad.add(ad.matmul(window, self.W1), self.b1))
+    def ffn_fuse(self, H_I: Tensor, H_S: Tensor, rows: RowMap,
+                 dropout_p, rng, training) -> tuple[Tensor, Tensor]:
+        hidden = ad.relu(ad.add(ad.matmul(window(H_I, H_S, rows), self.W1), self.b1))
         ffn = ad.add(ad.matmul(hidden, self.W2), self.b2)
-        ffn = ad.dropout(ffn, dropout_p, rng, training)
+        ffn = ad.dropout(ffn, dropout_p, rng, training, pad_mask=rows.mask)
         out_I = self.ln_i_out(ad.add(H_I, ffn))
         out_S = self.ln_s_out(ad.add(H_S, ffn))
         return out_I, out_S
 
     def forward(self, in_I: Tensor, in_S: Tensor, W_I: Tensor, W_S: Tensor,
-                mask: np.ndarray, dropout_p: float = 0.0,
+                rows: RowMap, dropout_p: float = 0.0,
                 rng: np.random.Generator | None = None,
                 training: bool = False) -> tuple[Tensor, Tensor]:
+        """One layer over packed (N, d) streams."""
         if self.mode == AblationMode.NO_INTENT_LABEL_ATTENTION:
             H_I = in_I
         else:
-            H_I = label_attention(in_I, W_I, mask, dropout_p, rng, training)
+            H_I = label_attention(in_I, W_I, rows, dropout_p, rng, training)
         if self.mode == AblationMode.NO_SLOT_LABEL_ATTENTION:
             H_S = in_S
         else:
-            H_S = label_attention(in_S, W_S, mask, dropout_p, rng, training)
-        H_I, H_S = self.cross_attention(H_I, H_S, mask, dropout_p, rng, training)
-        return self.ffn_fuse(H_I, H_S, mask, dropout_p, rng, training)
+            H_S = label_attention(in_S, W_S, rows, dropout_p, rng, training)
+        H_I, H_S = self.cross_attention(H_I, H_S, rows, dropout_p, rng, training)
+        return self.ffn_fuse(H_I, H_S, rows, dropout_p, rng, training)
 
 
 class InteractionStack:
@@ -236,9 +344,12 @@ class InteractionStack:
     def forward(self, H: Tensor, W_I: Tensor, W_S: Tensor, mask: np.ndarray,
                 dropout_p: float = 0.0, rng: np.random.Generator | None = None,
                 training: bool = False) -> tuple[Tensor, Tensor]:
-        cur_I, cur_S = H, H
+        """(B, n, d) encoder states -> (intent, slot) streams, each (B, n, d)
+        and exactly zero at pads. The layers run on the packed real rows."""
+        rows = RowMap(mask)
+        cur_I = cur_S = pack(H, rows)
         for layer in self.layers:
             cur_I, cur_S = layer.forward(
-                cur_I, cur_S, W_I, W_S, mask, dropout_p, rng, training
+                cur_I, cur_S, W_I, W_S, rows, dropout_p, rng, training
             )
-        return cur_I, cur_S
+        return unpack(cur_I, rows), unpack(cur_S, rows)

@@ -5,12 +5,18 @@ coordinate step h, df/dx_i ~ (f(x + h e_i) - f(x - h e_i)) / 2h. Agreement
 rule throughout: |a - b| <= tol * max(1, |a|, |b|).
 """
 
+import contextlib
 import json
+import math
 from typing import Iterable
 
 import numpy as np
 
 from slu import autodiff as ad
+from slu.config import AblationMode
+from slu.decoders import CrfHead
+from slu.encoder import Encoder
+from slu.interaction import InteractionStack
 
 FD_STEP = 1e-3
 FD_TOL = 1e-4
@@ -81,9 +87,9 @@ def crf_log_partition_composed(crf, emissions, mask: np.ndarray):
     trans3 = crf.T[None, :S, :S]  # (1, from, to)
     alpha = ad.add(crf.T[crf.begin, :S], emissions[:, 0])  # (B, S)
     for t in range(1, n):
-        inner = ad.add(ad.reshape(alpha, (B, S, 1)), trans3)
+        inner = ad.add(reshape(alpha, (B, S, 1)), trans3)
         prop = ad.add(ad.logsumexp(inner, axis=1), emissions[:, t])
-        alpha = ad.where(mask[:, t][:, None], prop, alpha)
+        alpha = where(mask[:, t][:, None], prop, alpha)
     alpha = ad.add(alpha, crf.T[:S, crf.end])
     return ad.logsumexp(alpha, axis=-1)  # (B,)
 
@@ -113,9 +119,9 @@ def fd_check_unary(op, x: np.ndarray, tol: float = FD_TOL, **kwargs):
     assert_close(t.grad, numeric_grad(f, x64), tol)
 
 
-# Generic ops the package does not need: the composed LSTM oracle below is
-# built from them, and engine tests use them as a nonlinearity or a
-# many-parent node.
+# Generic ops the package does not need: the composed oracles below are
+# built from them, and engine tests use them as a nonlinearity, a view or
+# a many-parent node.
 
 
 def sigmoid(a) -> ad.Tensor:
@@ -136,6 +142,32 @@ def tanh(a) -> ad.Tensor:
         return (g * (1.0 - data * data),)
 
     return ad._make_node(data, (a,), backward)
+
+
+def reshape(a, shape) -> ad.Tensor:
+    a = ad._as_tensor(a)
+    data = a.data.reshape(shape)
+
+    def backward(g):
+        return (g.reshape(a.data.shape),)
+
+    return ad._make_node(data, (a,), backward)
+
+
+def where(cond: np.ndarray, a, b) -> ad.Tensor:
+    """Elementwise select by a constant boolean mask; gradients route by it."""
+    a = ad._as_tensor(a)
+    b = ad._as_tensor(b, ref=a)
+    cond = np.asarray(cond, dtype=bool)
+    data = np.where(cond, a.data, b.data)
+
+    def backward(g):
+        return (ad._unbroadcast(np.where(cond, g, 0.0), a.data.shape)
+                if a.requires_grad else None,
+                ad._unbroadcast(np.where(cond, 0.0, g), b.data.shape)
+                if b.requires_grad else None)
+
+    return ad._make_node(data, (a, b), backward)
 
 
 def stack(tensors: Iterable[ad.Tensor], axis: int = 0) -> ad.Tensor:
@@ -174,9 +206,9 @@ def lstm_oracle_run(cell, embedded, mask: np.ndarray, reverse: bool):
         g = tanh(gates[:, 3 * dh:])
         c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
         h_new = ad.mul(o, tanh(c_new))
-        h = ad.where(m_t, h_new, h)
-        c = ad.where(m_t, c_new, c)
-        outputs[t] = ad.where(m_t, h, zero)
+        h = where(m_t, h_new, h)
+        c = where(m_t, c_new, c)
+        outputs[t] = where(m_t, h, zero)
     return stack(outputs, axis=1)
 
 
@@ -184,6 +216,120 @@ def bilstm_oracle(enc, embedded, mask: np.ndarray):
     """Both directions of ``enc`` run apart by ``lstm_oracle_run``."""
     return ad.concat([lstm_oracle_run(enc.fwd, embedded, mask, reverse=False),
                       lstm_oracle_run(enc.bwd, embedded, mask, reverse=True)], axis=-1)
+
+
+# The interaction stack on the padded layout: every stage on (B, n, ·)
+# tensors, pads passed through or zeroed by ``where``, and attention
+# composed of generic ops. Reference for the packed stack and its fused
+# attention node; it draws the same dropout masks in the same order, so a
+# seeded model trains the same under either.
+
+
+def label_attention_padded(H, W, mask: np.ndarray, dropout_p: float = 0.0,
+                           rng=None, training: bool = False):
+    """H + softmax(H W) W^T on (B, n, d) states; pad positions pass through."""
+    A = ad.softmax(ad.matmul(H, W), axis=-1)
+    A = ad.dropout(A, dropout_p, rng, training)
+    out = ad.add(H, ad.matmul(A, ad.transpose(W, (1, 0))))
+    return where(mask[:, :, None], out, H)
+
+
+def multi_head_attention_padded(Q, K, V, key_mask: np.ndarray, num_heads: int,
+                                dropout_p: float = 0.0, rng=None,
+                                training: bool = False):
+    """Attention over (B, n, dm) projections in 14 generic nodes: split the
+    heads, scale the scores, mask the pad keys to -inf, softmax, dropout,
+    context, merge the heads."""
+    B, n, dm = Q.data.shape
+    dk = dm // num_heads
+
+    def split(x):
+        return ad.transpose(reshape(x, (B, n, num_heads, dk)), (0, 2, 1, 3))
+
+    q, k, v = split(Q), split(K), split(V)
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
+    A = ad.softmax(where(key_mask[:, None, None, :], scores, -np.inf), axis=-1)
+    A = ad.dropout(A, dropout_p, rng, training)
+    ctx = ad.matmul(A, v)
+    return reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, n, dm))
+
+
+def cross_attention_padded(layer, H_I, H_S, mask, dropout_p, rng, training):
+    w = layer._weights
+    mode = layer.mode
+
+    def attend(q, k, v):
+        return multi_head_attention_padded(q, k, v, mask, layer.num_heads,
+                                           dropout_p, rng, training)
+
+    if mode == AblationMode.SELF_ATTENTION:
+        X = ad.concat([H_S, H_I], axis=-1)
+        ctx = attend(ad.matmul(X, w["self_q"]), ad.matmul(X, w["self_k"]),
+                     ad.matmul(X, w["self_v"]))
+        fused = layer.ln_self(ad.add(X, ctx))
+        return fused[..., layer.d:], fused[..., :layer.d]
+    if mode != AblationMode.SLOT_TO_INTENT_ONLY:
+        new_S = layer.ln_s(ad.add(H_S, attend(ad.matmul(H_S, w["q_s"]),
+                                              ad.matmul(H_I, w["k_i"]),
+                                              ad.matmul(H_I, w["v_i"]))))
+    else:
+        new_S = layer.ln_s(H_S)
+    if mode != AblationMode.INTENT_TO_SLOT_ONLY:
+        new_I = layer.ln_i(ad.add(H_I, attend(ad.matmul(H_I, w["q_i"]),
+                                              ad.matmul(H_S, w["k_s"]),
+                                              ad.matmul(H_S, w["v_s"]))))
+    else:
+        new_I = layer.ln_i(H_I)
+    return new_I, new_S
+
+
+def ffn_fuse_padded(layer, H_I, H_S, mask, dropout_p, rng, training):
+    """Window FFN over (B, n, d) streams: pads zeroed, zero edge rows
+    concatenated on either side, the (B, n, 6d) window sliced from them."""
+    combined = where(mask[:, :, None], ad.concat([H_I, H_S], axis=-1), 0.0)
+    B, n, width = combined.shape
+    edge = ad.Tensor(np.zeros((B, 1, width), dtype=combined.dtype))
+    padded = ad.concat([edge, combined, edge], axis=1)  # (B, n + 2, 2d)
+    window = ad.concat([padded[:, :n], combined, padded[:, 2:]], axis=-1)
+    hidden = ad.relu(ad.add(ad.matmul(window, layer.W1), layer.b1))
+    ffn = ad.add(ad.matmul(hidden, layer.W2), layer.b2)
+    ffn = ad.dropout(ffn, dropout_p, rng, training)
+    return layer.ln_i_out(ad.add(H_I, ffn)), layer.ln_s_out(ad.add(H_S, ffn))
+
+
+def interaction_forward_padded(stack, H, W_I, W_S, mask, dropout_p: float = 0.0,
+                               rng=None, training: bool = False):
+    """``InteractionStack.forward`` on the padded layout; pad outputs are
+    whatever the stages leave there."""
+    cur_I = cur_S = H
+    for layer in stack.layers:
+        if layer.mode != AblationMode.NO_INTENT_LABEL_ATTENTION:
+            cur_I = label_attention_padded(cur_I, W_I, mask, dropout_p, rng, training)
+        if layer.mode != AblationMode.NO_SLOT_LABEL_ATTENTION:
+            cur_S = label_attention_padded(cur_S, W_S, mask, dropout_p, rng, training)
+        cur_I, cur_S = cross_attention_padded(layer, cur_I, cur_S, mask,
+                                              dropout_p, rng, training)
+        cur_I, cur_S = ffn_fuse_padded(layer, cur_I, cur_S, mask,
+                                       dropout_p, rng, training)
+    return cur_I, cur_S
+
+
+@contextlib.contextmanager
+def composed_kernels():
+    """Run the model with every fused kernel swapped for its composed
+    oracle: the BiLSTM node, the CRF log-partition node and the packed
+    interaction stack with its fused attention."""
+    swaps = [(Encoder, "bilstm", bilstm_oracle),
+             (CrfHead, "log_partition", crf_log_partition_composed),
+             (InteractionStack, "forward", interaction_forward_padded)]
+    saved = [(owner, name, vars(owner)[name]) for owner, name, _ in swaps]
+    try:
+        for owner, name, oracle in swaps:
+            setattr(owner, name, oracle)
+        yield
+    finally:
+        for owner, name, original in saved:
+            setattr(owner, name, original)
 
 
 def graph_dtype_census(loss) -> dict[str, dict[str, float]]:

@@ -23,12 +23,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import crf_brute_force
+from helpers import crf_brute_force, reshape, where
 from slu import autodiff as ad
 from slu import gradcheck
 from slu.config import Config
 from slu.data import build_vocab, load_dataset, load_pretrained_embeddings
 from slu.decoders import CrfHead
+from slu.interaction import RowMap, multi_head_attention, window
 from slu.metrics import evaluate, extract_chunks
 from slu.train import evaluate_model, train
 
@@ -87,6 +88,8 @@ def test_c01_gradient_suite():
     beta = ad.Tensor(np.zeros(4))
     mask34 = np.array([[True] * 4, [True, True, True, False],
                        [True, True, False, False]])
+    rows3 = RowMap(np.array([[True, True], [True, False]]))  # 3 packed rows
+    window_proj = ad.Tensor(np.random.default_rng(12).normal(size=(3, 24)))
 
     def s(t):
         return ad.tsum(ad.mul(t, ad.Tensor(proj.data)))
@@ -97,7 +100,7 @@ def test_c01_gradient_suite():
         "scale": lambda x: s(ad.mul(x, -1.7)),
         "matmul": lambda x: ad.tsum(ad.matmul(x, mat)),
         "tsum": lambda x: ad.tsum(ad.tsum(x, axis=0, keepdims=True)),
-        "reshape": lambda x: s(ad.reshape(ad.reshape(x, (12,)), (3, 4))),
+        "reshape": lambda x: s(reshape(reshape(x, (12,)), (3, 4))),
         "transpose": lambda x: ad.tsum(ad.mul(ad.transpose(x, (1, 0)),
                                               ad.Tensor(proj.data.T))),
         "concat": lambda x: ad.tsum(ad.concat([x, aux], axis=1)),
@@ -105,15 +108,20 @@ def test_c01_gradient_suite():
         "getitem_array": lambda x: ad.tsum(ad.mul(
             x[np.array([0, 2, 0, 1]), np.array([3, 0, 3, 2])],
             ad.Tensor(np.array([1.0, -2.0, 0.5, 3.0])))),
-        "where": lambda x: s(ad.where(mask34, x, aux)),
+        "where": lambda x: s(where(mask34, x, aux)),
         "relu": lambda x: s(ad.relu(x)),
-        "softmax": lambda x: s(ad.softmax(x, axis=-1, mask=mask34)),
+        "softmax": lambda x: s(ad.softmax(x, axis=-1)),
         "logsumexp": lambda x: ad.tsum(ad.logsumexp(x, axis=1)),
         "layer_norm": lambda x: s(ad.layer_norm(x, gamma, beta)),
         "dropout": lambda x: s(ad.dropout(x, 0.4, np.random.default_rng(99),
                                           training=True)),
+        "multi_head_attention": lambda x: s(multi_head_attention(
+            x, ad.mul(x, aux), ad.add(x, aux), rows3, num_heads=2, dropout_p=0.3,
+            rng=np.random.default_rng(5), training=True)),
+        "window": lambda x: ad.tsum(ad.mul(window(x, ad.mul(x, aux), rows3),
+                                           window_proj)),
         "maxpool_over_time": lambda x: ad.tsum(
-            ad.maxpool_over_time(ad.reshape(x, (1, 3, 4)),
+            ad.maxpool_over_time(reshape(x, (1, 3, 4)),
                                  np.array([[True, True, True]]))),
     }
     x0 = rng.normal(size=(3, 4))

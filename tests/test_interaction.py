@@ -1,5 +1,6 @@
-"""Interaction block tests: stage-level oracles, ablation wiring,
-masking invariance, and gradient spot checks."""
+"""Interaction block tests: stage-level oracles on packed rows, ablation
+wiring, masking invariance, the padded-oracle equivalence of the fused
+attention node, and gradient spot checks."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from slu import autodiff as ad
 from slu.interaction import (
     InteractionLayer,
     InteractionStack,
+    RowMap,
     label_attention,
     multi_head_attention,
 )
 from slu.config import AblationMode, ConfigError
 
-from helpers import assert_close, numeric_grad
+from helpers import assert_close, multi_head_attention_padded, numeric_grad
 
 ALL_MODES = list(AblationMode)
 
@@ -31,19 +33,25 @@ def label_matrices(d=8, n_s=4, n_i=3, seed=1, dtype=np.float64):
     return W_I, W_S
 
 
+def packed(x: np.ndarray, mask: np.ndarray | None = None):
+    """(B, n, d) array -> (packed (N, d) tensor, its RowMap); no mask means
+    every position is real."""
+    rows = RowMap(np.ones(x.shape[:2], bool) if mask is None else mask)
+    return ad.Tensor(rows.gather(x)), rows
+
+
 class TestLabelAttention:
     def test_single_label_adds_its_embedding_everywhere(self, rng):
-        H = ad.Tensor(rng.standard_normal((1, 3, 4)))
+        H, rows = packed(rng.standard_normal((1, 3, 4)))
         W = ad.Tensor(rng.standard_normal((4, 1)))
-        mask = np.ones((1, 3), bool)
-        out = label_attention(H, W, mask).data
+        out = label_attention(H, W, rows).data
         np.testing.assert_allclose(out, H.data + W.data[:, 0], rtol=1e-6)
 
     def test_output_shape(self, rng):
-        H = ad.Tensor(rng.standard_normal((2, 5, 128)))
+        H, rows = packed(rng.standard_normal((2, 5, 128)))
         W = ad.Tensor(rng.standard_normal((128, 72)))
-        out = label_attention(H, W, np.ones((2, 5), bool))
-        assert out.shape == (2, 5, 128)
+        out = label_attention(H, W, rows)
+        assert out.shape == (10, 128)
 
     def test_orthogonal_states_average_the_labels(self):
         # All scores are zero, so the attention row is uniform and the
@@ -53,122 +61,189 @@ class TestLabelAttention:
         W = np.zeros((4, 3))
         W[2] = [1.0, 2.0, 6.0]  # labels live in coordinates H never touches
         W[3] = [0.0, 4.0, -1.0]
-        out = label_attention(ad.Tensor(H), ad.Tensor(W), np.ones((1, 2), bool)).data
-        np.testing.assert_allclose(out - H, np.broadcast_to(W.mean(axis=1), (1, 2, 4)),
+        Hp, rows = packed(H)
+        out = label_attention(Hp, ad.Tensor(W), rows).data
+        np.testing.assert_allclose(out - Hp.data, np.broadcast_to(W.mean(axis=1), (2, 4)),
                                    atol=1e-7)
 
-    def test_masked_positions_pass_through(self, rng):
-        H = ad.Tensor(rng.standard_normal((1, 3, 4)))
-        W = ad.Tensor(rng.standard_normal((4, 5)))
-        mask = np.array([[True, False, True]])
-        out = label_attention(H, W, mask).data
-        np.testing.assert_array_equal(out[0, 1], H.data[0, 1])
-        assert not np.allclose(out[0, 0], H.data[0, 0])
+
+RAGGED = np.array([[True] * 5, [True, True, True, False, False], [True, False, False, False, False]])
+
+
+def attention_inputs(rng, dtype=np.float64, dm=6):
+    """Packed Q, K, V leaves over the ragged 3-sentence mask above."""
+    rows = RowMap(RAGGED)
+    N = len(rows.rows)
+    return [ad.Tensor(rng.standard_normal((N, dm)).astype(dtype), requires_grad=True)
+            for _ in range(3)], rows
 
 
 class TestMultiHeadAttention:
     def test_hand_oracle_one_head(self):
         # Oracle: scores = Q K^T / sqrt(2); rows through softmax; context is
         # the weighted sum of V rows. Worked by hand with numpy below.
-        Q = np.array([[[1.0, 0.0], [0.0, 2.0]]])
-        K = np.array([[[1.0, 1.0], [0.0, 1.0]]])
-        V = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        scores = Q[0] @ K[0].T / np.sqrt(2.0)
+        Q = np.array([[1.0, 0.0], [0.0, 2.0]])
+        K = np.array([[1.0, 1.0], [0.0, 1.0]])
+        V = np.array([[1.0, 2.0], [3.0, 4.0]])
+        scores = Q @ K.T / np.sqrt(2.0)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         A = e / e.sum(axis=1, keepdims=True)
-        expected = A @ V[0]
+        expected = A @ V
 
         got = multi_head_attention(
             ad.Tensor(Q, dtype=np.float64), ad.Tensor(K, dtype=np.float64),
-            ad.Tensor(V, dtype=np.float64), np.ones((1, 2), bool), num_heads=1,
+            ad.Tensor(V, dtype=np.float64), RowMap(np.ones((1, 2), bool)), num_heads=1,
         ).data
-        np.testing.assert_allclose(got[0], expected, atol=1e-6)
+        np.testing.assert_allclose(got, expected, atol=1e-6)
 
     def test_single_position_weight_is_one(self, rng):
-        V = rng.standard_normal((1, 1, 4))
+        V = rng.standard_normal((1, 4))
         out = multi_head_attention(
-            ad.Tensor(rng.standard_normal((1, 1, 4))),
-            ad.Tensor(rng.standard_normal((1, 1, 4))),
-            ad.Tensor(V), np.ones((1, 1), bool), num_heads=2,
+            ad.Tensor(rng.standard_normal((1, 4))),
+            ad.Tensor(rng.standard_normal((1, 4))),
+            ad.Tensor(V), RowMap(np.ones((1, 1), bool)), num_heads=2,
         ).data
         np.testing.assert_array_equal(out, V)
 
     def test_masked_key_gets_zero_weight(self, rng):
-        n = 4
-        # One-hot value rows turn the context into the attention row itself.
-        V = np.eye(n)[None, :, :].astype(np.float64)
-        mask = np.array([[True, True, False, True]])
+        # One-hot value rows over the three real keys turn the context into
+        # the attention row over them; the pad key's scattered zero row
+        # scores 0, so any weight on it would leave the row short of one.
+        mask = np.array([[True, True, True, False]])
         out = multi_head_attention(
-            ad.Tensor(rng.standard_normal((1, n, n))),
-            ad.Tensor(rng.standard_normal((1, n, n))),
-            ad.Tensor(V), mask, num_heads=1,
+            ad.Tensor(rng.standard_normal((3, 3)) - 4.0),
+            ad.Tensor(rng.standard_normal((3, 3)) + 4.0),
+            ad.Tensor(np.eye(3)), RowMap(mask), num_heads=1,
         ).data
-        np.testing.assert_array_equal(out[0, :, 2], 0.0)
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_weights_are_softmax_over_real_keys(self, rng):
+        # The same one-hot trick: each context row must equal the softmax
+        # of that query's scores over the real keys alone.
+        Q = rng.standard_normal((3, 3))
+        K = rng.standard_normal((3, 3))
+        out = multi_head_attention(ad.Tensor(Q), ad.Tensor(K), ad.Tensor(np.eye(3)),
+                                   RowMap(np.array([[True, True, True, False]])),
+                                   num_heads=1).data
+        ref = np.exp(Q @ K.T / np.sqrt(3.0))
+        ref = ref / ref.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(out, ref, rtol=1e-6)
 
     def test_weights_sum_to_one_constant_values(self, rng):
         c = rng.standard_normal(6)
-        V = np.broadcast_to(c, (2, 5, 6)).copy()
+        mask = np.array([[True] * 5, [True, True, True, False, False]])
+        V = np.broadcast_to(c, (8, 6)).copy()
         out = multi_head_attention(
-            ad.Tensor(rng.standard_normal((2, 5, 6))),
-            ad.Tensor(rng.standard_normal((2, 5, 6))),
-            ad.Tensor(V),
-            np.array([[True] * 5, [True, True, True, False, False]]),
-            num_heads=3,
+            ad.Tensor(rng.standard_normal((8, 6))),
+            ad.Tensor(rng.standard_normal((8, 6))),
+            ad.Tensor(V), RowMap(mask), num_heads=3,
         ).data
-        np.testing.assert_allclose(out, np.broadcast_to(c, (2, 5, 6)), atol=1e-5)
+        np.testing.assert_allclose(out, np.broadcast_to(c, (8, 6)), atol=1e-5)
 
     def test_width_not_divisible_by_heads(self, rng):
-        X = ad.Tensor(rng.standard_normal((1, 2, 6)))
+        X = ad.Tensor(rng.standard_normal((2, 6)))
         with pytest.raises(ConfigError):
-            multi_head_attention(X, X, X, np.ones((1, 2), bool), num_heads=4)
+            multi_head_attention(X, X, X, RowMap(np.ones((1, 2), bool)), num_heads=4)
+
+    def test_is_one_node_with_three_parents(self, rng):
+        (Q, K, V), rows = attention_inputs(rng)
+        out = multi_head_attention(Q, K, V, rows, num_heads=2)
+        assert out._parents == (Q, K, V)
+
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3], ids=["no_dropout", "dropout"])
+    def test_matches_padded_oracle_float64(self, rng, dropout_p):
+        # Outputs within 1e-12 and Q/K/V gradients within 1e-8 of the
+        # composed attention on the padded layout, fed the same dropout draw.
+        (Q, K, V), rows = attention_inputs(rng)
+        r = rng.standard_normal(Q.shape)
+        out = multi_head_attention(Q, K, V, rows, 2, dropout_p,
+                                   np.random.default_rng(4), training=True)
+        ad.tsum(ad.mul(out, ad.Tensor(r))).backward()
+
+        pads = [ad.Tensor(rows.scatter(t.data), requires_grad=True) for t in (Q, K, V)]
+        ref = multi_head_attention_padded(*pads, rows.mask, 2, dropout_p,
+                                          np.random.default_rng(4), training=True)
+        ad.tsum(ad.mul(ref, ad.Tensor(rows.scatter(r)))).backward()
+
+        assert_close(out.data, rows.gather(ref.data), tol=1e-12)
+        for t, pad in zip((Q, K, V), pads):
+            assert_close(t.grad, rows.gather(pad.grad), tol=1e-8)
+            # Pad rows of the oracle's inputs get no gradient either.
+            assert not pad.grad[~rows.mask].any()
+
+    def test_float32_matches_padded_oracle(self, rng):
+        (Q, K, V), rows = attention_inputs(rng, dtype=np.float32)
+        out = multi_head_attention(Q, K, V, rows, 2)
+        ref = multi_head_attention_padded(
+            *[ad.Tensor(rows.scatter(t.data)) for t in (Q, K, V)], rows.mask, 2)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out.data, rows.gather(ref.data), rtol=1e-4, atol=1e-6)
+
+    def test_gradients_match_fd_with_ragged_keys(self, rng):
+        (Q, K, V), rows = attention_inputs(rng, dm=4)
+        r = rng.standard_normal(Q.shape)
+        ad.tsum(ad.mul(multi_head_attention(Q, K, V, rows, 2), ad.Tensor(r))).backward()
+        for which, t in enumerate((Q, K, V)):
+            def f(x, which=which):
+                args = [Q, K, V]
+                args[which] = ad.Tensor(x)
+                with ad.no_grad():
+                    return float((multi_head_attention(*args, rows, 2).data * r).sum())
+            assert_close(t.grad, numeric_grad(f, t.data))
 
 
 class TestFfnFuse:
+    def layer(self, d=4):
+        return InteractionLayer(d, 2, 8, AblationMode.FULL,
+                                np.random.default_rng(0), "t", dtype=np.float64)
+
     def test_zero_second_projection_reduces_to_layer_norm(self, rng):
-        layer = InteractionLayer(4, 2, 8, AblationMode.FULL,
-                                   np.random.default_rng(0), "t", dtype=np.float64)
+        layer = self.layer()
         layer.W2.data[:] = 0.0
         layer.b2.data[:] = 0.0
-        H_I = ad.Tensor(rng.standard_normal((1, 3, 4)))
-        H_S = ad.Tensor(rng.standard_normal((1, 3, 4)))
-        out_I, out_S = layer.ffn_fuse(H_I, H_S, np.ones((1, 3), bool), 0.0, None, False)
+        H_I, rows = packed(rng.standard_normal((1, 3, 4)))
+        H_S, _ = packed(rng.standard_normal((1, 3, 4)))
+        out_I, out_S = layer.ffn_fuse(H_I, H_S, rows, 0.0, None, False)
         np.testing.assert_allclose(out_I.data, layer.ln_i_out(H_I).data, atol=1e-12)
         np.testing.assert_allclose(out_S.data, layer.ln_s_out(H_S).data, atol=1e-12)
 
     def test_single_token_window_pads_with_zeros(self, rng):
         # With n=1 the window is [zeros, h, zeros]; the FFN rows that read
         # the two neighbor blocks multiply zeros, so replacing them with
-        # junk must not change anything.
+        # junk must not change anything. Packed, the two sentences' rows
+        # sit next to each other: the edge masks must keep them apart.
         d = 4
-        layer = InteractionLayer(d, 2, 8, AblationMode.FULL,
-                                   np.random.default_rng(0), "t", dtype=np.float64)
-        H_I = ad.Tensor(rng.standard_normal((2, 1, d)))
-        H_S = ad.Tensor(rng.standard_normal((2, 1, d)))
-        mask = np.ones((2, 1), bool)
-        base_I, base_S = layer.ffn_fuse(H_I, H_S, mask, 0.0, None, False)
+        layer = self.layer(d)
+        H_I, rows = packed(rng.standard_normal((2, 1, d)))
+        H_S, _ = packed(rng.standard_normal((2, 1, d)))
+        base_I, base_S = layer.ffn_fuse(H_I, H_S, rows, 0.0, None, False)
 
         layer.W1.data[: 2 * d] = 999.0
         layer.W1.data[4 * d :] = -777.0
-        junk_I, junk_S = layer.ffn_fuse(H_I, H_S, mask, 0.0, None, False)
+        junk_I, junk_S = layer.ffn_fuse(H_I, H_S, rows, 0.0, None, False)
         np.testing.assert_array_equal(base_I.data, junk_I.data)
         np.testing.assert_array_equal(base_S.data, junk_S.data)
 
     def test_padded_neighbor_contributes_zero_like_a_boundary(self, rng):
         # The window of the last real token must look identical whether the
-        # sequence simply ends there or pad positions follow it.
-        layer = InteractionLayer(4, 2, 8, AblationMode.FULL,
-                                   np.random.default_rng(0), "t", dtype=np.float64)
+        # sequence is alone or, after its pad positions, the next
+        # sentence's rows follow it in the packed layout.
+        layer = self.layer()
         H_I = rng.standard_normal((1, 2, 4))
         H_S = rng.standard_normal((1, 2, 4))
-        out_I, _ = layer.ffn_fuse(ad.Tensor(H_I), ad.Tensor(H_S),
-                                  np.ones((1, 2), bool), 0.0, None, False)
+        alone_I, rows = packed(H_I)
+        alone_S, _ = packed(H_S)
+        out_I, _ = layer.ffn_fuse(alone_I, alone_S, rows, 0.0, None, False)
 
-        H_I_pad = np.concatenate([H_I, rng.standard_normal((1, 2, 4))], axis=1)
-        H_S_pad = np.concatenate([H_S, rng.standard_normal((1, 2, 4))], axis=1)
-        mask = np.array([[True, True, False, False]])
-        out_I_pad, _ = layer.ffn_fuse(ad.Tensor(H_I_pad), ad.Tensor(H_S_pad),
-                                      mask, 0.0, None, False)
-        np.testing.assert_allclose(out_I_pad.data[:, :2], out_I.data, atol=1e-10)
+        mask = np.array([[True, True, False, False], [True, True, True, True]])
+        more_I = np.concatenate([np.pad(H_I, ((0, 0), (0, 2), (0, 0))),
+                                 rng.standard_normal((1, 4, 4))])
+        more_S = np.concatenate([np.pad(H_S, ((0, 0), (0, 2), (0, 0))),
+                                 rng.standard_normal((1, 4, 4))])
+        both_I, rows2 = packed(more_I, mask)
+        both_S, _ = packed(more_S, mask)
+        out_I_pad, _ = layer.ffn_fuse(both_I, both_S, rows2, 0.0, None, False)
+        np.testing.assert_allclose(out_I_pad.data[:2], out_I.data, atol=1e-10)
 
     @pytest.mark.parametrize("block,offset", [(0, -1), (1, 0), (2, 1)],
                              ids=["left", "centre", "right"])
@@ -177,16 +252,16 @@ class TestFfnFuse:
         # position t then sees only position t + offset, and zeros where
         # that neighbour lies beyond the sequence.
         d, n = 4, 5
-        layer = InteractionLayer(d, 2, 8, AblationMode.FULL,
-                                   np.random.default_rng(0), "t", dtype=np.float64)
+        layer = self.layer(d)
         rows = slice(2 * d * block, 2 * d * (block + 1))
         kept = layer.W1.data[rows].copy()
         layer.W1.data[:] = 0.0
         layer.W1.data[rows] = kept
         H_I = rng.standard_normal((2, n, d))
         H_S = rng.standard_normal((2, n, d))
-        out_I, out_S = layer.ffn_fuse(ad.Tensor(H_I), ad.Tensor(H_S),
-                                      np.ones((2, n), bool), 0.0, None, False)
+        P_I, row_map = packed(H_I)
+        P_S, _ = packed(H_S)
+        out_I, out_S = layer.ffn_fuse(P_I, P_S, row_map, 0.0, None, False)
 
         combined = np.concatenate([H_I, H_S], axis=-1)
         neighbour = np.zeros_like(combined)
@@ -194,9 +269,9 @@ class TestFfnFuse:
             if 0 <= t + offset < n:
                 neighbour[:, t] = combined[:, t + offset]
         hidden = np.maximum(neighbour @ kept + layer.b1.data, 0.0)
-        ffn = hidden @ layer.W2.data + layer.b2.data
-        expect_I = layer.ln_i_out(ad.Tensor(H_I + ffn)).data
-        expect_S = layer.ln_s_out(ad.Tensor(H_S + ffn)).data
+        ffn = row_map.gather(hidden @ layer.W2.data + layer.b2.data)
+        expect_I = layer.ln_i_out(ad.Tensor(P_I.data + ffn)).data
+        expect_S = layer.ln_s_out(ad.Tensor(P_S.data + ffn)).data
         np.testing.assert_allclose(out_I.data, expect_I, atol=1e-12)
         np.testing.assert_allclose(out_S.data, expect_S, atol=1e-12)
 
@@ -225,27 +300,24 @@ class TestStack:
         # cross-attention stage directly and compare against plain layer norm.
         layer = InteractionLayer(8, 2, 16, AblationMode.INTENT_TO_SLOT_ONLY,
                                    np.random.default_rng(0), "t", dtype=np.float64)
-        H_I = ad.Tensor(rng.standard_normal((1, 3, 8)))
-        H_S = ad.Tensor(rng.standard_normal((1, 3, 8)))
-        new_I, new_S = layer.cross_attention(H_I, H_S, np.ones((1, 3), bool),
-                                             0.0, None, False)
+        H_I, rows = packed(rng.standard_normal((1, 3, 8)))
+        H_S, _ = packed(rng.standard_normal((1, 3, 8)))
+        new_I, new_S = layer.cross_attention(H_I, H_S, rows, 0.0, None, False)
         np.testing.assert_allclose(new_I.data, layer.ln_i(H_I).data, atol=1e-12)
         assert not np.allclose(new_S.data, layer.ln_s(H_S).data)
 
     def test_slot_to_intent_only_skips_the_slot_cross_term(self, rng):
         layer = InteractionLayer(8, 2, 16, AblationMode.SLOT_TO_INTENT_ONLY,
                                    np.random.default_rng(0), "t", dtype=np.float64)
-        H_I = ad.Tensor(rng.standard_normal((1, 3, 8)))
-        H_S = ad.Tensor(rng.standard_normal((1, 3, 8)))
-        new_I, new_S = layer.cross_attention(H_I, H_S, np.ones((1, 3), bool),
-                                             0.0, None, False)
+        H_I, rows = packed(rng.standard_normal((1, 3, 8)))
+        H_S, _ = packed(rng.standard_normal((1, 3, 8)))
+        new_I, new_S = layer.cross_attention(H_I, H_S, rows, 0.0, None, False)
         np.testing.assert_allclose(new_S.data, layer.ln_s(H_S).data, atol=1e-12)
         assert not np.allclose(new_I.data, layer.ln_i(H_I).data)
 
     def test_no_label_attention_modes_pass_input_through(self, rng):
-        H = ad.Tensor(rng.standard_normal((1, 3, 8)))
+        H, rows = packed(rng.standard_normal((1, 3, 8)))
         W_I, W_S = label_matrices()
-        mask = np.ones((1, 3), bool)
         for mode, touched in [
             (AblationMode.NO_INTENT_LABEL_ATTENTION, "slot"),
             (AblationMode.NO_SLOT_LABEL_ATTENTION, "intent"),
@@ -256,8 +328,8 @@ class TestStack:
             # comparing against a full-mode twin with identical parameters.
             full = InteractionLayer(8, 2, 16, AblationMode.FULL,
                                       np.random.default_rng(0), "t", dtype=np.float64)
-            out = layer.forward(H, H, W_I, W_S, mask)
-            ref = full.forward(H, H, W_I, W_S, mask)
+            out = layer.forward(H, H, W_I, W_S, rows)
+            ref = full.forward(H, H, W_I, W_S, rows)
             same = np.allclose(out[0].data, ref[0].data) and \
                 np.allclose(out[1].data, ref[1].data)
             assert not same, f"{mode} behaved like the full model"
@@ -291,6 +363,52 @@ class TestStack:
                     np.where(mask[:, :, None], a.data, 0.0),
                     atol=1e-5, err_msg=f"mode={mode}",
                 )
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_pads_are_zero_and_pad_inputs_ignored(self, mode, rng):
+        # Pad rows never enter the packed stream: outputs there are exactly
+        # zero, and junk written into the pad rows of H changes no bit of
+        # any real output.
+        stack = make_stack(mode=mode, seed=3)
+        W_I, W_S = label_matrices()
+        mask = np.array([[True, True, True, True], [True, True, False, False]])
+        H = rng.standard_normal((2, 4, 8))
+        out = stack.forward(ad.Tensor(H), W_I, W_S, mask)
+        H[~mask] = 1e6 * rng.standard_normal((2, 8))
+        junk = stack.forward(ad.Tensor(H), W_I, W_S, mask)
+        for a, b in zip(out, junk):
+            assert not a.data[~mask].any()
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_sentence_without_real_tokens_rejected(self, rng):
+        stack = make_stack()
+        W_I, W_S = label_matrices()
+        mask = np.array([[True, True], [False, False]])
+        with pytest.raises(ValueError, match="no real tokens"):
+            stack.forward(ad.Tensor(rng.standard_normal((2, 2, 8))), W_I, W_S, mask)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_no_padded_tensor_between_pack_and_unpack(self, mode, rng):
+        # Every node the layers create holds N = 7 packed rows; only the
+        # two unpacked outputs (and H itself) have B * n = 10.
+        B, n = 2, 5
+        stack = make_stack(mode=mode)
+        W_I, W_S = label_matrices()
+        mask = np.array([[True] * 5, [True, True, False, False, False]])
+        H = ad.Tensor(rng.standard_normal((B, n, 8)), requires_grad=True)
+        outs = stack.forward(H, W_I, W_S, mask, dropout_p=0.2,
+                             rng=np.random.default_rng(0), training=True)
+        seen, todo, inner = set(), [p for o in outs for p in o._parents], []
+        while todo:
+            node = todo.pop()
+            if id(node) in seen or node is H or not node._parents:
+                continue
+            seen.add(id(node))
+            inner.append(node)
+            todo.extend(node._parents)
+        assert len(inner) > 20
+        for node in inner:
+            assert node.shape[0] != B * n and node.shape[:2] != (B, n), node
 
     def test_intent_stream_ignores_unused_direction_parameters(self, rng):
         # The slot-to-intent projections exist but are never evaluated in

@@ -1,7 +1,9 @@
 """Training loop and checkpoint tests: descent sanity, early stopping,
 determinism, divergence detection, and bit-exact persistence."""
 
+import contextlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,15 +17,15 @@ from slu.checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from slu.config import AblationMode, Config
-from slu.data import DataError, Utterance, build_vocab, make_batches
+from slu.config import AblationMode, Config, build_config
+from slu.data import Batch, DataError, Utterance, Vocab, build_vocab, make_batches
 from slu.gradcheck import toy_setup
 from slu.metrics import EvalReport, evaluate
 from slu.model import JointModel
 from slu.optim import Adam, clip_global_norm
 from slu.train import DivergenceError, _improved, evaluate_model, predict_dataset, train
 
-from helpers import CORRUPT_CHECKPOINTS, graph_dtype_census
+from helpers import CORRUPT_CHECKPOINTS, assert_close, composed_kernels, graph_dtype_census
 
 
 def tiny_config(**overrides):
@@ -93,6 +95,58 @@ class TestDtypeContract:
         (logits, emissions), = seen
         assert logits.dtype == np.float32
         assert emissions.dtype == np.float32
+
+
+class TestGraphSize:
+    def test_base_shape_training_graph_has_at_most_160_nodes(self):
+        # A configs/base.cfg model on a B=32 batch with lengths 6-24 (the
+        # benchmark's train_base shape; node count depends on the config and
+        # the ablation, not on the lengths).
+        config = build_config(Path(__file__).resolve().parent.parent / "configs" / "base.cfg",
+                              {"seed": "321"})
+        gen = np.random.default_rng(321)
+        vocab = Vocab(id2word=["<pad>", "<unk>"] + [f"w{i}" for i in range(898)],
+                      id2slot=[f"s{i}" for i in range(120)],
+                      id2intent=[f"i{i}" for i in range(21)])
+        lengths = gen.integers(6, 25, size=32)
+        mask = np.arange(lengths.max()) < lengths[:, None]
+        batch = Batch(token_ids=np.where(mask, gen.integers(2, 900, mask.shape), 0),
+                      mask=mask, slot_ids=np.where(mask, gen.integers(0, 120, mask.shape), 0),
+                      intent_ids=gen.integers(0, 21, 32), lengths=lengths)
+        model = JointModel(config, vocab)
+        census = graph_dtype_census(model.loss(batch, training=True))
+        assert census["float32"]["nodes"] <= 160, census
+
+
+class TestComposedKernels:
+    @pytest.mark.parametrize("mode", list(AblationMode), ids=lambda m: m.value)
+    def test_training_steps_match_composed_oracles(self, mode):
+        # Two same-seed float64 models with dropout on, one run with every
+        # fused kernel (BiLSTM, CRF log-partition, packed interaction stack
+        # and its attention node) swapped for its composed padded oracle.
+        # Same rng order on both sides, so same dropout masks; at each of
+        # three steps the losses agree to 1e-10 relative and every
+        # parameter gradient to 1e-8, then each side takes its Adam step.
+        ref, batch = toy_setup(seed=6, ablation=mode.value)
+        config = ref.config.replace(dropout=0.1, encoder_dropout=0.1)
+        fused = JointModel(config, ref.vocab, dtype=np.float64)
+        composed = JointModel(config, ref.vocab, dtype=np.float64)
+        opts = [Adam(m.params(), lr=1e-2) for m in (fused, composed)]
+        for step in range(3):
+            losses = []
+            for model, opt, oracle in ((fused, opts[0], False), (composed, opts[1], True)):
+                opt.zero_grad()
+                with composed_kernels() if oracle else contextlib.nullcontext():
+                    loss = model.loss(batch, training=True)
+                    losses.append(loss.item())
+                    loss.backward()
+            assert abs(losses[0] - losses[1]) <= 1e-10 * abs(losses[1]), (step, losses)
+            for p, q in zip(fused.params(), composed.params(), strict=True):
+                assert (p.tensor.grad is None) == (q.tensor.grad is None), p.name
+                if p.tensor.grad is not None:
+                    assert_close(p.tensor.grad, q.tensor.grad, tol=1e-8)
+            for opt in opts:
+                opt.step()
 
 
 class TestDescentSanity:
