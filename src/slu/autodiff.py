@@ -321,16 +321,10 @@ def matmul(a, b) -> Tensor:
     return _make_node(data, (a, b), backward)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
+    """Sum of every entry, as a 0-d tensor."""
     a = _as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None or keepdims:
-            return (g,)
-        return (np.expand_dims(g, axis),)
-
-    return _make_node(data, (a,), backward)
+    return _make_node(a.data.sum(), (a,), lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------
@@ -466,20 +460,22 @@ def dropout(a, p: float, rng: np.random.Generator, training: bool,
     return mul(a, Tensor(keep.astype(a.data.dtype) * (1.0 / (1.0 - p))))
 
 
-def maxpool_over_time(a, mask: np.ndarray) -> Tensor:
-    """Column-wise max over the time axis of (B, n, d), honoring the mask.
+def maxpool_over_time(a, lengths: np.ndarray) -> Tensor:
+    """Column-wise max over each sentence's packed rows: (N, d) -> (B, d).
 
-    Padded positions never win. Ties route the gradient to the earliest
-    winning time step.
+    Sentence b owns the ``lengths[b]`` rows after those of sentences
+    0..b-1. Ties route the gradient to the earliest winning row; a NaN
+    wins its column, so it reaches its own sentence's output and no other.
     """
     a = _as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.data.shape[:2]:
-        raise ShapeError(
-            f"mask shape {mask.shape} does not match {a.data.shape[:2]}"
-        )
-    if not mask.any(axis=1).all():
-        raise ValueError("maxpool_over_time: a sequence has no real tokens")
-    argmax = np.where(mask[:, :, None], a.data, -np.inf).argmax(axis=1)  # (B, d)
-    B, _, d = a.data.shape
-    return getitem(a, (np.arange(B)[:, None], argmax, np.arange(d)[None, :]))
+    x = a.data
+    lengths = np.asarray(lengths)
+    if lengths.ndim != 1 or (lengths < 1).any() or lengths.sum() != len(x):
+        # np.maximum.reduceat would read the next sentence's first row for
+        # an empty one, so a bad split must not reach it.
+        raise ValueError(f"maxpool_over_time: lengths must be positive and sum to "
+                         f"{len(x)}, got {lengths.tolist()}")
+    starts = np.cumsum(lengths) - lengths
+    peak = np.repeat(np.maximum.reduceat(x, starts), lengths, axis=0)
+    wins = np.where((x == peak) | np.isnan(x), np.arange(len(x))[:, None], len(x))
+    return getitem(a, (np.minimum.reduceat(wins, starts), np.arange(x.shape[1])))

@@ -1,4 +1,5 @@
-"""Corpus ingestion: split loading, vocabularies, embeddings, batching.
+"""Corpus ingestion: split loading, vocabularies, embeddings, batching,
+and ``RowMap``, the packed-row layout of a padded batch.
 
 Dataset layout on disk: ``<root>/{train,dev,test}/{seq.in,seq.out,label}``,
 UTF-8, newline-delimited. ``seq.in`` holds space-separated tokens, ``seq.out``
@@ -105,6 +106,52 @@ class Batch:
         return self.token_ids.shape[0]
 
 
+class RowMap:
+    """Where the real rows of a padded ``(B, n)`` batch sit once packed.
+
+    The constructor is the one check of the mask layout: every row marks a
+    non-empty prefix, so pads trail the real tokens. ``rows`` holds the
+    flat index ``b * n + t`` of each real position in row-major order, so
+    packed rows run sentence after sentence: sentence b fills rows
+    ``starts[b]`` to ``starts[b] + lengths[b] - 1``, and a row's sentence
+    neighbours t-1 and t+1, when real, are the packed rows just above and
+    below it. ``left`` and ``right`` are ``(N, 1)`` edge masks: True where
+    that neighbour exists, False at a sentence's first and last row.
+    """
+
+    __slots__ = ("mask", "lengths", "starts", "rows", "left", "right")
+
+    def __init__(self, mask: np.ndarray):
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 2:
+            raise ValueError(f"mask must be 2-D (batch, time), got shape {mask.shape}")
+        if (mask[:, 1:] > mask[:, :-1]).any():
+            raise ValueError("mask must mark a prefix of each row (pads trail real tokens)")
+        if mask.shape[1] == 0 or not mask[:, 0].all():
+            raise ValueError("a sequence has no real tokens")
+        self.mask = mask
+        self.lengths = mask.sum(axis=1)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.rows = np.flatnonzero(mask)
+        left = np.ones((self.rows.size, 1), dtype=bool)
+        left[self.starts] = False
+        right = np.ones_like(left)
+        right[self.starts + self.lengths - 1] = False
+        self.left, self.right = left, right
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """(B, n, ...) -> (N, ...): the real rows."""
+        B, n = self.mask.shape
+        return x.reshape((B * n,) + x.shape[2:])[self.rows]
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """(N, ...) -> (B, n, ...): the rows in place, zeros at pads."""
+        B, n = self.mask.shape
+        out = np.zeros((B * n,) + x.shape[1:], dtype=x.dtype)
+        out[self.rows] = x
+        return out.reshape((B, n) + x.shape[1:])
+
+
 def utf8_lines(path: Path, error: type[Exception] = DataError):
     """The lines of a UTF-8 text file, decoded lazily; bytes that do not
     decode raise ``error`` with the path and the offset."""
@@ -177,7 +224,7 @@ def _ordered(counter: Counter) -> list[str]:
     return [w for w, _ in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))]
 
 
-def build_vocab(train: list[Utterance], min_freq: int = 1) -> Vocab:
+def build_vocab(train: list[Utterance]) -> Vocab:
     """Vocabulary over the training split only, ordered by frequency then
     lexicographically so identical corpora always produce identical ids."""
     if not train:
@@ -189,9 +236,8 @@ def build_vocab(train: list[Utterance], min_freq: int = 1) -> Vocab:
         word_counts.update(utt.tokens)
         slot_counts.update(utt.slots)
         intent_counts[utt.intent] += 1
-    words = [w for w in _ordered(word_counts) if word_counts[w] >= min_freq]
     return Vocab(
-        id2word=[PAD_TOKEN, UNK_TOKEN, *words],
+        id2word=[PAD_TOKEN, UNK_TOKEN, *_ordered(word_counts)],
         id2slot=_ordered(slot_counts),
         id2intent=_ordered(intent_counts),
     )

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import RowMap
 from .encoder import uniform_init
 from .optim import Param
 
@@ -19,7 +20,7 @@ NEG_INF = -1.0e4  # forbidden-transition score; large enough to never win
 
 
 class IntentHead:
-    """Sentence-level classifier over a masked max-pooled representation."""
+    """Sentence-level classifier over a max-pooled representation."""
 
     def __init__(self, d: int, num_intents: int, rng: np.random.Generator,
                  dtype=np.float32):
@@ -33,10 +34,15 @@ class IntentHead:
         return [Param("intent.W", self.W, decay=True),
                 Param("intent.b", self.b, decay=False)]
 
-    def logits(self, H_I: Tensor, mask: np.ndarray) -> Tensor:
-        """(B, n, d) states -> (B, |I|) scores via masked max over time."""
-        c = ad.maxpool_over_time(H_I, mask)
+    def logits(self, H_I: Tensor, rows: RowMap) -> Tensor:
+        """Packed (N, d) states -> (B, |I|) scores via a max per sentence."""
+        c = ad.maxpool_over_time(H_I, rows.lengths)
         return ad.add(ad.matmul(c, self.W), self.b)
+
+
+def unpack(X: Tensor, rows: RowMap) -> Tensor:
+    """(N, k) packed rows -> (B, n, k), exactly zero at pads."""
+    return ad._make_node(rows.scatter(X.data), (X,), lambda g: (rows.gather(g),))
 
 
 def cross_entropy_sum(logits: Tensor, gold: np.ndarray) -> Tensor:
@@ -80,9 +86,10 @@ class CrfHead:
     def end(self) -> int:
         return self.num_slots + 1
 
-    def emissions(self, H_S: Tensor) -> Tensor:
-        """(B, n, d) states -> (B, n, |S|) per-token label scores."""
-        return ad.add(ad.matmul(H_S, self.W), self.b)
+    def emissions(self, H_S: Tensor, rows: RowMap) -> Tensor:
+        """Packed (N, d) states -> (B, n, |S|) per-token label scores,
+        zero at pads."""
+        return unpack(ad.add(ad.matmul(H_S, self.W), self.b), rows)
 
     def log_partition(self, emissions: Tensor, mask: np.ndarray) -> Tensor:
         """log Z per sequence, shape (B,), as one graph node over
@@ -160,23 +167,16 @@ class CrfHead:
 
     def gold_score(self, emissions: Tensor, gold: np.ndarray,
                    mask: np.ndarray) -> Tensor:
-        """Path score of the gold tags: emissions plus all transition factors."""
-        gold = np.asarray(gold)
-        mask = np.asarray(mask, dtype=bool)
-        safe_gold = np.where(mask, gold, 0)
-        B, n = safe_gold.shape
-        em = emissions[np.arange(B)[:, None], np.arange(n)[None, :], safe_gold]  # (B, n)
-        em_sum = ad.tsum(ad.mul(em, ad.Tensor(mask.astype(emissions.data.dtype))))
-
-        prev_idx: list[int] = []
-        cur_idx: list[int] = []
-        lengths = mask.sum(axis=1)
-        for b in range(gold.shape[0]):
-            seq = gold[b, : lengths[b]]
-            path = [self.begin, *seq.tolist(), self.end]
-            prev_idx.extend(path[:-1])
-            cur_idx.extend(path[1:])
-        trans_sum = ad.tsum(self.T[np.array(prev_idx), np.array(cur_idx)])
+        """Path score of the gold tags: emissions plus all transition
+        factors, begin -> tag_0 -> ... -> tag_{L-1} -> end per sentence."""
+        sent, t = np.nonzero(mask)
+        tags = np.asarray(gold)[sent, t]
+        em_sum = ad.tsum(emissions[sent, t, tags])
+        first = np.flatnonzero(t == 0)
+        after_last = np.r_[first[1:], tags.size]
+        prev = np.insert(tags, first, self.begin)
+        cur = np.insert(tags, after_last, self.end)
+        trans_sum = ad.tsum(self.T[prev, cur])
         return ad.add(em_sum, trans_sum)
 
     def nll(self, emissions: Tensor, gold: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -190,7 +190,7 @@ class CrfHead:
         Score ties at a backpointer resolve to the lowest label index.
         """
         emissions = np.asarray(emissions)
-        mask = np.asarray(mask, dtype=bool)
+        lengths = RowMap(mask).lengths
         S = self.num_slots
         T = self.T.data
         trans = T[:S, :S]
@@ -198,9 +198,7 @@ class CrfHead:
         end = T[:S, self.end]
         paths: list[list[int]] = []
         for b in range(emissions.shape[0]):
-            length = int(mask[b].sum())
-            if length == 0:
-                raise ValueError(f"sequence {b} has no real tokens")
+            length = int(lengths[b])
             em = emissions[b, :length]
             delta = start + em[0]
             backptr = np.zeros((length, S), dtype=np.int64)

@@ -7,13 +7,15 @@ with a hand-written backward through time: both directions step together
 in one numpy time loop, the node keeps each step's gate activations, cell
 states, ``tanh(c)`` and hidden states, and its backward forms the weight,
 bias and input gradients once over all steps after the reverse loop. The
-length reversal is plain indexing, so no gradient is scattered.
+length reversal is plain indexing, its own inverse.
 
-Masking contract: the mask marks a prefix of each row, so pads trail the
-real tokens. The backward direction reads each sequence reversed within
-its length, so pads trail in its stream too and no real position ever
-reads a pad; pad outputs are zeroed once, after the loop, and get no
-gradient. Appending pad tokens therefore cannot change any real position.
+Packed output: the batch's ``RowMap`` marks a non-empty prefix of each row,
+so pads trail the real tokens. The backward direction reads each sequence
+reversed within its length, so pads trail in its stream too and no real
+position ever reads a pad. The node emits only the real positions, as
+packed ``(N, hidden_dim)`` rows, and its backward scatters their gradient
+into the time loop, so pads get none. Appending pad tokens therefore
+cannot change any real position.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import RowMap
 from .optim import Param
 
 
@@ -85,17 +88,16 @@ class Encoder:
         return [Param("encoder.embedding", self.embedding, decay=True)] \
             + self.fwd.params() + self.bwd.params()
 
-    def encode(self, token_ids: np.ndarray, mask: np.ndarray,
+    def encode(self, token_ids: np.ndarray, rows: RowMap,
                dropout_p: float = 0.0, rng: np.random.Generator | None = None,
                training: bool = False) -> Tensor:
-        """(B, n) int ids + boolean mask -> (B, n, hidden_dim) states."""
+        """(B, n) int ids placed by ``rows`` -> packed (N, hidden_dim) states."""
         token_ids = np.asarray(token_ids)
-        mask = np.asarray(mask, dtype=bool)
         if token_ids.ndim != 2:
             raise ad.ShapeError(f"token_ids must be 2-D, got shape {token_ids.shape}")
-        if mask.shape != token_ids.shape:
+        if rows.mask.shape != token_ids.shape:
             raise ad.ShapeError(
-                f"mask shape {mask.shape} does not match ids {token_ids.shape}"
+                f"mask shape {rows.mask.shape} does not match ids {token_ids.shape}"
             )
         vocab_size = self.embedding.shape[0]
         if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= vocab_size):
@@ -103,20 +105,20 @@ class Encoder:
                 f"token id out of range [0, {vocab_size}): "
                 f"min={token_ids.min()}, max={token_ids.max()}"
             )
-        if (mask[:, 1:] & ~mask[:, :-1]).any():
-            raise ValueError("mask must mark a prefix of each row (pads trail real tokens)")
         embedded = ad.dropout(self.embedding[token_ids], dropout_p, rng, training)
-        return self.bilstm(embedded, mask)
+        return self.bilstm(embedded, rows)
 
-    def bilstm(self, embedded: Tensor, mask: np.ndarray) -> Tensor:
-        """Both LSTM directions over (B, n, e) inputs -> (B, n, hidden_dim).
+    def bilstm(self, embedded: Tensor, rows: RowMap) -> Tensor:
+        """Both LSTM directions over (B, n, e) inputs -> packed (N, hidden_dim).
 
-        ``mask`` must mark a prefix of each row; pad outputs are zero.
         The backward direction reads each sequence reversed within its
         length (as TensorFlow's ``reverse_sequence``): time t maps to
         len-1-t on real positions and to itself on pads. The map is its own
         inverse, so plain indexing by it both reverses the inputs and puts
-        the outputs back in place, forward and backward, with no scatter.
+        their gradient back in place, with no scatter. The output gathers
+        each direction's states at the real positions, in ``rows`` order;
+        the backward scatters the packed gradient into zeros, so pad steps
+        get none.
 
         The recursion is one graph node with parents ``(embedded, fwd.W,
         fwd.b, bwd.W, bwd.b)``, in plain numpy. The two directions' weights
@@ -133,16 +135,17 @@ class Encoder:
         """
         B, n, e = embedded.shape
         dh = self.hidden_dim // 2
-        mask = np.asarray(mask, dtype=bool)
-        rows = np.arange(B)[:, None]
+        batch = np.arange(B)[:, None]
         steps = np.arange(n)
-        lengths = mask.sum(axis=1, keepdims=True)
-        rev = np.where(mask, lengths - 1 - steps, steps)  # (B, n), an involution per row
+        # (B, n), an involution per row
+        rev = np.where(rows.mask, rows.lengths[:, None] - 1 - steps, steps)
+        sent, t_fwd = np.divmod(rows.rows, n)  # each packed row's (b, t)
+        t_bwd = rows.lengths[sent] - 1 - t_fwd  # its step in the backward stream
         W = np.stack([self.fwd.W.data, self.bwd.W.data])  # (2, e + dh, 4dh)
         b = np.stack([self.fwd.b.data, self.bwd.b.data])  # (2, 4dh)
         x = embedded.data
         # Time-major inputs per direction: x2[1, t, b] = x[b, rev[b, t]].
-        x2 = np.stack([x.transpose(1, 0, 2), x[rows.T, rev.T]]).reshape(2, n * B, e)
+        x2 = np.stack([x.transpose(1, 0, 2), x[batch.T, rev.T]]).reshape(2, n * B, e)
         xW = (x2 @ W[:, :e] + b[:, None]).reshape(2, n, B, 4 * dh)
         W_h = W[:, e:]
         dtype = xW.dtype
@@ -164,13 +167,13 @@ class Encoder:
             c += gt[..., :dh] * gt[..., 3 * dh:]
             np.tanh(c, out=tcs[:, t])
             np.multiply(gt[..., 2 * dh:3 * dh], tcs[:, t], out=hs[:, t + 1])
-        out = np.concatenate([hs[0, 1:].transpose(1, 0, 2), hs[1, 1:][rev, rows]], axis=-1)
-        out[~mask] = 0.0
+        out = np.concatenate([hs[0, t_fwd + 1, sent], hs[1, t_bwd + 1, sent]], axis=-1)
 
         def backward(g):
-            # Upstream gradient per direction, time-major; pad outputs are constant zero.
-            dH = np.stack([g[..., :dh].transpose(1, 0, 2), g[rows.T, rev.T, dh:]])
-            dH[:, ~mask.T] = 0.0
+            # Upstream gradient per direction, time-major; zero at pad steps.
+            dH = np.zeros((2, n, B, dh), dtype)
+            dH[0, t_fwd, sent] = g[:, :dh]
+            dH[1, t_bwd, sent] = g[:, dh:]
             sig = gates[..., :3 * dh]
             i, f, o, gg = (gates[..., k * dh:(k + 1) * dh] for k in range(4))
             # Per-step factors that turn dc (gates i, f, g) or dh (gate o)
@@ -204,7 +207,7 @@ class Encoder:
             dx = None
             if embedded.requires_grad:
                 dx2 = (dA2 @ np.swapaxes(W[:, :e], 1, 2)).reshape(2, n, B, e)
-                dx = dx2[0].transpose(1, 0, 2) + dx2[1][rev, rows]
+                dx = dx2[0].transpose(1, 0, 2) + dx2[1][rev, batch]
             return dx, dW[0], db[0], dW[1], db[1]
 
         return ad._make_node(out, (embedded, self.fwd.W, self.fwd.b, self.bwd.W, self.bwd.b),

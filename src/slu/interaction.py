@@ -14,19 +14,18 @@ Ablation modes rewire individual stages so each connection's contribution
 can be measured in isolation.
 
 Packed layout: every stage is position-wise except attention, so the stack
-never computes on pad positions. ``InteractionStack.forward`` builds a
-``RowMap`` from the mask, gathers the real rows of the encoder output into
-one ``(N, d)`` tensor (sentence after sentence, N real tokens in all), runs
-every layer on those rows and scatters both streams back into zeros of
-shape ``(B, n, d)`` at exit, as ByteTransformer's padding-free transformer
-does (Zhai et al., arXiv 2210.03052). The window FFN reads a row's
-sentence neighbours from the rows just above and below it, zeroed by the
-row map's edge masks where the sentence ends. ``multi_head_attention`` is
-one graph node, the only place the padded layout still exists: it
-scatters its packed inputs into ``(B, h, n, dk)`` heads, masks the pad
-keys once and gathers the real rows of its result. Every dropout draws
-its keep mask at the padded shape and keeps the real rows, so a seed
-draws the same masks as it would over the padded batch.
+never computes on pad positions. ``InteractionStack.forward`` takes the
+encoder's packed ``(N, d)`` rows (sentence after sentence, N real tokens in
+all, placed by the batch's ``RowMap``) and returns both streams in that
+layout, as ByteTransformer's padding-free transformer does (Zhai et al.,
+arXiv 2210.03052). The window FFN reads a row's sentence neighbours from
+the rows just above and below it, zeroed by the row map's edge masks where
+the sentence ends. ``multi_head_attention`` is one graph node and the only
+stage that sees the padded layout: it scatters its packed inputs into
+``(B, h, n, dk)`` heads, masks the pad keys once and gathers the real rows
+of its result. Every dropout draws its keep mask at the padded shape and
+keeps the real rows, so a seed draws the same masks as it would over the
+padded batch.
 """
 
 from __future__ import annotations
@@ -38,56 +37,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import AblationMode, ConfigError
+from .data import RowMap
 from .encoder import uniform_init
 from .optim import Param
-
-
-class RowMap:
-    """Where the real rows of a padded ``(B, n)`` batch sit once packed.
-
-    ``rows`` holds the flat index ``b * n + t`` of each real position in
-    row-major order, so packed rows run sentence after sentence and a
-    row's sentence neighbours t-1 and t+1, when real, are the packed rows
-    just above and below it. ``left`` and ``right`` are ``(N, 1)`` edge
-    masks: True where that neighbour exists.
-    """
-
-    __slots__ = ("mask", "rows", "left", "right")
-
-    def __init__(self, mask: np.ndarray):
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any(axis=1).all():
-            raise ValueError("a sequence has no real tokens")
-        self.mask = mask
-        self.rows = np.flatnonzero(mask)
-        left = np.zeros_like(mask)
-        left[:, 1:] = mask[:, :-1]
-        right = np.zeros_like(mask)
-        right[:, :-1] = mask[:, 1:]
-        self.left = left[mask][:, None]
-        self.right = right[mask][:, None]
-
-    def gather(self, x: np.ndarray) -> np.ndarray:
-        """(B, n, ...) -> (N, ...): the real rows."""
-        B, n = self.mask.shape
-        return x.reshape((B * n,) + x.shape[2:])[self.rows]
-
-    def scatter(self, x: np.ndarray) -> np.ndarray:
-        """(N, ...) -> (B, n, ...): the rows in place, zeros at pads."""
-        B, n = self.mask.shape
-        out = np.zeros((B * n,) + x.shape[1:], dtype=x.dtype)
-        out[self.rows] = x
-        return out.reshape((B, n) + x.shape[1:])
-
-
-def pack(H: Tensor, rows: RowMap) -> Tensor:
-    """(B, n, d) states -> (N, d) real rows; pad rows get no gradient."""
-    return ad._make_node(rows.gather(H.data), (H,), lambda g: (rows.scatter(g),))
-
-
-def unpack(X: Tensor, rows: RowMap) -> Tensor:
-    """(N, d) real rows -> (B, n, d) states, exactly zero at pads."""
-    return ad._make_node(rows.scatter(X.data), (X,), lambda g: (rows.gather(g),))
 
 
 def label_attention(H: Tensor, W: Tensor, rows: RowMap,
@@ -341,15 +293,13 @@ class InteractionStack:
             out.extend(layer.params())
         return out
 
-    def forward(self, H: Tensor, W_I: Tensor, W_S: Tensor, mask: np.ndarray,
+    def forward(self, H: Tensor, W_I: Tensor, W_S: Tensor, rows: RowMap,
                 dropout_p: float = 0.0, rng: np.random.Generator | None = None,
                 training: bool = False) -> tuple[Tensor, Tensor]:
-        """(B, n, d) encoder states -> (intent, slot) streams, each (B, n, d)
-        and exactly zero at pads. The layers run on the packed real rows."""
-        rows = RowMap(mask)
-        cur_I = cur_S = pack(H, rows)
+        """Packed (N, d) encoder rows -> packed (intent, slot) streams."""
+        cur_I = cur_S = H
         for layer in self.layers:
             cur_I, cur_S = layer.forward(
                 cur_I, cur_S, W_I, W_S, rows, dropout_p, rng, training
             )
-        return unpack(cur_I, rows), unpack(cur_S, rows)
+        return cur_I, cur_S

@@ -13,7 +13,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .interaction import InteractionStack
 from .config import Config
-from .data import Batch, Vocab
+from .data import Batch, RowMap, Vocab
 from .decoders import CrfHead, IntentHead, joint_loss
 from .encoder import Encoder
 from .optim import Param
@@ -47,15 +47,17 @@ class JointModel:
 
     def forward(self, token_ids: np.ndarray, mask: np.ndarray,
                 training: bool = False) -> tuple[Tensor, Tensor]:
-        """Token ids + mask -> (intent logits (B, |I|), emissions (B, n, |S|))."""
+        """Token ids + mask -> (intent logits (B, |I|), emissions (B, n, |S|)).
+        One ``RowMap`` places the packed rows from the encoder to the heads."""
         cfg = self.config
-        H = self.encoder.encode(token_ids, mask, dropout_p=cfg.encoder_dropout,
+        rows = RowMap(mask)
+        H = self.encoder.encode(token_ids, rows, dropout_p=cfg.encoder_dropout,
                                 rng=self.rng, training=training)
         H_I, H_S = self.stack.forward(
-            H, self.intent_head.W, self.crf.W, mask,
+            H, self.intent_head.W, self.crf.W, rows,
             dropout_p=cfg.dropout, rng=self.rng, training=training,
         )
-        return self.intent_head.logits(H_I, mask), self.crf.emissions(H_S)
+        return self.intent_head.logits(H_I, rows), self.crf.emissions(H_S, rows)
 
     def loss(self, batch: Batch, training: bool = True) -> Tensor:
         logits, emissions = self.forward(batch.token_ids, batch.mask, training)

@@ -94,6 +94,24 @@ def crf_log_partition_composed(crf, emissions, mask: np.ndarray):
     return ad.logsumexp(alpha, axis=-1)  # (B,)
 
 
+def crf_gold_score_loop(crf, emissions: np.ndarray, gold: np.ndarray, mask: np.ndarray):
+    """Per-sentence gold path scores, (B,), and the gradients of their sum
+    with respect to the emissions and ``T``, sentence by sentence in
+    numpy. Reference for the vectorised ``CrfHead.gold_score``."""
+    T = crf.T.data
+    scores = np.zeros(len(gold))
+    dE, dT = np.zeros(emissions.shape), np.zeros(T.shape)
+    for b, length in enumerate(mask.sum(axis=1)):
+        path = [crf.begin, *gold[b, :length].tolist(), crf.end]
+        for t, tag in enumerate(path[1:-1]):
+            scores[b] += emissions[b, t, tag]
+            dE[b, t, tag] += 1.0
+        for prev, cur in zip(path[:-1], path[1:]):
+            scores[b] += T[prev, cur]
+            dT[prev, cur] += 1.0
+    return scores, dE, dT
+
+
 def fd_check_unary(op, x: np.ndarray, tol: float = FD_TOL, **kwargs):
     """Backward of ``op`` against finite differences, via a random projection.
 
@@ -212,10 +230,30 @@ def lstm_oracle_run(cell, embedded, mask: np.ndarray, reverse: bool):
     return stack(outputs, axis=1)
 
 
-def bilstm_oracle(enc, embedded, mask: np.ndarray):
-    """Both directions of ``enc`` run apart by ``lstm_oracle_run``."""
-    return ad.concat([lstm_oracle_run(enc.fwd, embedded, mask, reverse=False),
-                      lstm_oracle_run(enc.bwd, embedded, mask, reverse=True)], axis=-1)
+def bilstm_oracle(enc, embedded, rows):
+    """Both directions of ``enc`` run apart by ``lstm_oracle_run`` on the
+    padded layout, then the real rows gathered in ``rows`` order."""
+    mask = rows.mask
+    padded = ad.concat([lstm_oracle_run(enc.fwd, embedded, mask, reverse=False),
+                        lstm_oracle_run(enc.bwd, embedded, mask, reverse=True)], axis=-1)
+    return gather(padded, rows)
+
+
+# Packing by ``np.nonzero`` of the mask alone, so the oracles share no
+# index arithmetic with ``RowMap``.
+
+
+def gather(x, rows):
+    """(B, n, ...) tensor -> its (N, ...) real rows, as a getitem node."""
+    return x[np.nonzero(rows.mask)]
+
+
+def scatter(x, rows):
+    """(N, ...) packed rows -> (B, n, ...), zero at pads."""
+    real = np.nonzero(rows.mask)
+    data = np.zeros(rows.mask.shape + x.shape[1:], dtype=x.dtype)
+    data[real] = x.data
+    return ad._make_node(data, (x,), lambda g: (g[real],))
 
 
 # The interaction stack on the padded layout: every stage on (B, n, ·)
@@ -297,11 +335,13 @@ def ffn_fuse_padded(layer, H_I, H_S, mask, dropout_p, rng, training):
     return layer.ln_i_out(ad.add(H_I, ffn)), layer.ln_s_out(ad.add(H_S, ffn))
 
 
-def interaction_forward_padded(stack, H, W_I, W_S, mask, dropout_p: float = 0.0,
+def interaction_forward_padded(stack, H, W_I, W_S, rows, dropout_p: float = 0.0,
                                rng=None, training: bool = False):
-    """``InteractionStack.forward`` on the padded layout; pad outputs are
-    whatever the stages leave there."""
-    cur_I = cur_S = H
+    """``InteractionStack.forward`` on the padded layout: the packed input
+    scattered to (B, n, d), every layer run padded, the real rows of both
+    streams gathered back."""
+    mask = rows.mask
+    cur_I = cur_S = scatter(H, rows)
     for layer in stack.layers:
         if layer.mode != AblationMode.NO_INTENT_LABEL_ATTENTION:
             cur_I = label_attention_padded(cur_I, W_I, mask, dropout_p, rng, training)
@@ -311,7 +351,7 @@ def interaction_forward_padded(stack, H, W_I, W_S, mask, dropout_p: float = 0.0,
                                               dropout_p, rng, training)
         cur_I, cur_S = ffn_fuse_padded(layer, cur_I, cur_S, mask,
                                        dropout_p, rng, training)
-    return cur_I, cur_S
+    return gather(cur_I, rows), gather(cur_S, rows)
 
 
 @contextlib.contextmanager

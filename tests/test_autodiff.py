@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from slu import autodiff as ad
 from slu.config import AblationMode
+from slu.data import RowMap
 from slu.gradcheck import toy_setup
 
 from helpers import (
@@ -73,15 +74,49 @@ class TestForwardValues:
             ad.matmul(ad.Tensor([1.0, 2.0]), ad.Tensor(np.zeros((2, 2))))
 
     def test_maxpool_ignores_padded_positions(self):
-        x = np.array([[[1.0], [9.0], [100.0]]])
-        mask = np.array([[True, True, False]])
-        out = ad.maxpool_over_time(ad.Tensor(x), mask)
-        assert out.data[0, 0] == 9.0
+        # Packed rows hold no pads, and each sentence pools only its own
+        # rows: the larger pad and next-sentence values never win.
+        x = np.array([[[1.0], [9.0], [100.0]], [[50.0], [100.0], [100.0]]])
+        rows = RowMap(np.array([[True, True, False], [True, False, False]]))
+        out = ad.maxpool_over_time(ad.Tensor(rows.gather(x)), rows.lengths)
+        np.testing.assert_array_equal(out.data, [[9.0], [50.0]])
 
     def test_maxpool_requires_a_real_token(self):
-        x = np.zeros((1, 2, 3))
+        # The lengths still sum to N: np.maximum.reduceat would read the
+        # next sentence's first row for the empty one instead of raising.
+        with pytest.raises(ValueError, match="positive"):
+            ad.maxpool_over_time(ad.Tensor(np.zeros((5, 3))), np.array([3, 0, 2]))
+
+    def test_maxpool_matches_the_padded_masked_max(self, rng):
+        # Reference: the earlier masked pool over the padded (B, n, d)
+        # layout, pads at -inf, argmax taking the earliest of tied rows.
+        # Small integers make ties common.
+        mask = np.arange(6)[None, :] < np.array([6, 1, 4, 2, 5])[:, None]
+        padded = rng.integers(-3, 3, size=(5, 6, 4)).astype(float)
+        rows = RowMap(mask)
+        tx = ad.Tensor(rows.gather(padded), requires_grad=True)
+        out = ad.maxpool_over_time(tx, rows.lengths)
+        ad.tsum(out).backward()
+        masked = np.where(mask[:, :, None], padded, -np.inf)
+        np.testing.assert_array_equal(out.data, masked.max(axis=1))
+        ref_grad = np.zeros_like(padded)
+        np.put_along_axis(ref_grad, masked.argmax(axis=1)[:, None], 1.0, axis=1)
+        np.testing.assert_array_equal(tx.grad, rows.gather(ref_grad))
+
+    @pytest.mark.parametrize("lengths", [[2, 2], [6], [[5]]],
+                             ids=["short_sum", "long_sum", "not_1d"])
+    def test_maxpool_rejects_lengths_that_do_not_split_the_rows(self, lengths):
         with pytest.raises(ValueError):
-            ad.maxpool_over_time(ad.Tensor(x), np.array([[False, False]]))
+            ad.maxpool_over_time(ad.Tensor(np.zeros((5, 3))), np.array(lengths))
+
+    @pytest.mark.filterwarnings("error")
+    def test_maxpool_nan_stays_in_its_sentence(self):
+        x = np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, 4.0], [5.0, -1.0]])
+        tx = ad.Tensor(x, requires_grad=True)
+        out = ad.maxpool_over_time(tx, np.array([2, 2]))
+        np.testing.assert_array_equal(out.data, [[np.nan, 2.0], [5.0, 4.0]])
+        ad.tsum(out).backward()
+        np.testing.assert_array_equal(tx.grad, [[0, 1], [1, 0], [0, 1], [1, 0]])
 
     def test_where_selects_by_mask(self):
         cond = np.array([True, False, True])
@@ -521,24 +556,26 @@ class TestFiniteDifferences:
         np.testing.assert_array_equal(tm.grad, expected)
 
     def test_maxpool(self, rng):
-        x = rng.standard_normal((2, 4, 3))
-        mask = np.array([[True, True, True, False], [True, True, False, False]])
+        x = rng.standard_normal((5, 3))
+        lengths = np.array([3, 2])
         r = rng.standard_normal((2, 3))
         tx = ad.Tensor(x, requires_grad=True)
-        ad.tsum(ad.mul(ad.maxpool_over_time(tx, mask), ad.Tensor(r))).backward()
+        ad.tsum(ad.mul(ad.maxpool_over_time(tx, lengths), ad.Tensor(r))).backward()
 
         def f(arr):
             with ad.no_grad():
-                return float(ad.tsum(ad.mul(ad.maxpool_over_time(ad.Tensor(arr), mask), ad.Tensor(r))).item())
+                return float(ad.tsum(ad.mul(ad.maxpool_over_time(ad.Tensor(arr), lengths),
+                                            ad.Tensor(r))).item())
 
         assert_close(tx.grad, numeric_grad(f, x))
 
     def test_maxpool_tie_routes_to_earliest(self):
-        x = np.array([[[5.0], [5.0], [1.0]]])
-        mask = np.array([[True, True, True]])
+        # Each sentence's tie goes to its own earliest row, the second
+        # sentence's included.
+        x = np.array([[5.0], [5.0], [1.0], [2.0], [2.0]])
         tx = ad.Tensor(x, requires_grad=True)
-        ad.tsum(ad.maxpool_over_time(tx, mask)).backward()
-        np.testing.assert_array_equal(tx.grad[0, :, 0], [1.0, 0.0, 0.0])
+        ad.tsum(ad.maxpool_over_time(tx, np.array([3, 2]))).backward()
+        np.testing.assert_array_equal(tx.grad[:, 0], [1.0, 0.0, 0.0, 1.0, 0.0])
 
     def test_where_grad_routes_by_mask(self, rng):
         cond = np.array([[True, False], [False, True]])

@@ -1,0 +1,46 @@
+"""What the benchmark harness in ``benchmarks/`` reads from the package.
+
+The harness patches methods by name and indexes model outputs by shape,
+so a signature refactor can break it without failing any other test.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from slu import autodiff as ad
+from slu.data import Utterance, make_batches
+from slu.gradcheck import toy_setup
+
+SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("entry", load_spans().TRACED, ids=lambda e: e[2] + "/" + e[1])
+def test_traced_attribute_is_defined_on_its_owner(entry):
+    # The tracer reads the raw attribute, so an inherited or renamed one
+    # would raise KeyError at install time.
+    owner, attr, _ = entry
+    assert callable(vars(owner)[attr])
+
+
+def test_one_sentence_forward_gives_one_emission_matrix():
+    model, _ = toy_setup(seed=0)
+    vocab = model.vocab
+    utt = Utterance(["w2", "w5", "w7"], ["O", "B-a", "I-a"], "x")
+    batch = make_batches([utt], vocab, 1)[0]
+    with ad.no_grad():
+        logits, emissions = model.forward(batch.token_ids, batch.mask)
+    assert logits.shape == (1, vocab.n_intents)
+    assert emissions.shape == (1, 3, vocab.n_slots)
+    assert np.isfinite(emissions.data[0]).all()

@@ -11,6 +11,7 @@ from slu.data import (
     UNK_TOKEN,
     Batch,
     DataError,
+    RowMap,
     Utterance,
     Vocab,
     build_vocab,
@@ -118,12 +119,6 @@ class TestVocab:
         vocab = build_vocab(utts)
         # mm and zz both occur twice; ties sort lexicographically.
         assert vocab.id2word[2:] == ["mm", "zz", "aa"]
-
-    def test_min_freq_filters(self):
-        utts = [Utterance(["a", "a", "b"], ["O"] * 3, "X")]
-        vocab = build_vocab(utts, min_freq=2)
-        assert "b" not in vocab.word2id
-        assert vocab.encode_tokens(["b"]) == [UNK_ID]
 
     def test_unseen_word_maps_to_unk(self):
         vocab = build_vocab([Utterance(["a"], ["O"], "X")])
@@ -291,3 +286,35 @@ class TestBatching:
         data = self.corpus()
         with pytest.raises(DataError):
             make_batches(data, build_vocab(data), 0)
+
+
+class TestRowMap:
+    mask = np.array([[True, True, True], [True, False, False], [True, True, False]])
+
+    def test_layout_of_a_ragged_batch(self):
+        rows = RowMap(self.mask)
+        assert rows.lengths.tolist() == [3, 1, 2]
+        assert rows.starts.tolist() == [0, 3, 4]
+        assert rows.rows.tolist() == [0, 1, 2, 3, 6, 7]
+        # A row's sentence neighbours exist except at the sentence's edges.
+        assert rows.left[:, 0].tolist() == [False, True, True, False, False, True]
+        assert rows.right[:, 0].tolist() == [True, True, False, False, True, False]
+
+    def test_scatter_then_gather_round_trips(self, rng):
+        rows = RowMap(self.mask)
+        x = rng.standard_normal((6, 2))
+        padded = rows.scatter(x)
+        assert padded.shape == (3, 3, 2)
+        assert not padded[~self.mask].any()
+        np.testing.assert_array_equal(rows.gather(padded), x)
+
+    # A pad between real tokens and an all-pad row are rejected in
+    # test_encoder and test_interaction.
+    @pytest.mark.parametrize("mask,message", [
+        ([[True, True], [False, True]], "prefix"),
+        (np.zeros((2, 0), bool), "no real tokens"),
+        ([True, True], "2-D"),
+    ], ids=["leading_pad", "no_columns", "not_2d"])
+    def test_bad_masks_rejected(self, mask, message):
+        with pytest.raises(ValueError, match=message):
+            RowMap(np.array(mask))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from slu import autodiff as ad
+from slu.data import RowMap
 from slu.decoders import (
     NEG_INF,
     CrfHead,
@@ -17,6 +18,7 @@ from slu.gradcheck import toy_setup
 from helpers import (
     assert_close,
     crf_brute_force,
+    crf_gold_score_loop,
     crf_log_partition_composed,
     numeric_grad,
 )
@@ -40,9 +42,9 @@ def random_crf_instance(rng, n, S):
 class TestIntentHead:
     def test_single_token_pools_to_that_vector(self, rng):
         head = IntentHead(3, 2, np.random.default_rng(0), dtype=np.float64)
-        h = rng.standard_normal((1, 1, 3))
-        logits = head.logits(ad.Tensor(h), np.ones((1, 1), bool)).data
-        expected = h[0, 0] @ head.W.data + head.b.data
+        h = rng.standard_normal((1, 3))
+        logits = head.logits(ad.Tensor(h), RowMap(np.ones((1, 1), bool))).data
+        expected = h[0] @ head.W.data + head.b.data
         np.testing.assert_allclose(logits[0], expected, atol=1e-12)
 
     def test_hand_arithmetic_two_by_two(self):
@@ -51,8 +53,8 @@ class TestIntentHead:
         head.b.data = np.array([0.1, -0.2])
         # c = elementwise max over the two tokens = [3.0, 4.0];
         # logits = [3*1 + 4*2 + 0.1, 3*(-1) + 4*0.5 - 0.2] = [11.1, -1.2]
-        h = np.array([[[3.0, -7.0], [0.0, 4.0]]])
-        logits = head.logits(ad.Tensor(h), np.ones((1, 2), bool)).data
+        h = np.array([[3.0, -7.0], [0.0, 4.0]])
+        logits = head.logits(ad.Tensor(h), RowMap(np.ones((1, 2), bool))).data
         np.testing.assert_allclose(logits[0], [11.1, -1.2], atol=1e-12)
 
     def test_joint_predict_tie_takes_lowest_index(self):
@@ -63,11 +65,14 @@ class TestIntentHead:
         assert intents.tolist() == [0] * batch.size
 
     def test_pad_tokens_do_not_reach_the_pool(self, rng):
+        # Packed, a short sentence's rows are followed by the next
+        # sentence's; those must not reach its pool either.
         head = IntentHead(3, 2, np.random.default_rng(0), dtype=np.float64)
-        h = rng.standard_normal((1, 2, 3))
+        h = rng.standard_normal((2, 2, 3))
         h[0, 1] = 100.0
-        mask = np.array([[True, False]])
-        logits = head.logits(ad.Tensor(h), mask).data
+        h[1, 0] = 100.0
+        rows = RowMap(np.array([[True, False], [True, True]]))
+        logits = head.logits(ad.Tensor(rows.gather(h)), rows).data
         expected = h[0, 0] @ head.W.data + head.b.data
         np.testing.assert_allclose(logits[0], expected, atol=1e-12)
 
@@ -311,6 +316,21 @@ class TestFusedLogPartition:
         assert len(log_z._parents) == 2
         assert log_z._parents[0] is em_t and log_z._parents[1] is crf.T
         assert all(p._parents == () for p in log_z._parents)
+
+
+class TestGoldScore:
+    def test_matches_per_sentence_loop(self, rng):
+        # Pad positions hold arbitrary tags, which must not count; only the
+        # summation order of the emissions differs from the loop.
+        crf, em, mask, _ = ragged_instance(rng)
+        gold = rng.integers(0, 5, size=mask.shape)
+        em_t = ad.Tensor(em, requires_grad=True)
+        score = crf.gold_score(em_t, gold, mask)
+        score.backward()
+        ref, ref_dE, ref_dT = crf_gold_score_loop(crf, em, gold, mask)
+        assert_close(score.item(), ref.sum(), tol=1e-12)
+        np.testing.assert_array_equal(em_t.grad, ref_dE)
+        np.testing.assert_array_equal(crf.T.grad, ref_dT)
 
 
 class TestViterbi:

@@ -1,19 +1,22 @@
 """Interaction block tests: stage-level oracles on packed rows, ablation
 wiring, masking invariance, the padded-oracle equivalence of the fused
-attention node, and gradient spot checks."""
+attention node, the packed layout from the BiLSTM to the heads, and
+gradient spot checks."""
 
 import numpy as np
 import pytest
 
 from slu import autodiff as ad
+from slu.config import AblationMode, ConfigError
+from slu.data import RowMap
+from slu.gradcheck import toy_setup
 from slu.interaction import (
     InteractionLayer,
     InteractionStack,
-    RowMap,
     label_attention,
     multi_head_attention,
 )
-from slu.config import AblationMode, ConfigError
+from slu.model import JointModel
 
 from helpers import assert_close, multi_head_attention_padded, numeric_grad
 
@@ -281,10 +284,10 @@ class TestStack:
     def test_output_shapes_all_modes(self, mode, rng):
         stack = make_stack(mode=mode)
         W_I, W_S = label_matrices()
-        H = ad.Tensor(rng.standard_normal((2, 3, 8)))
-        out_I, out_S = stack.forward(H, W_I, W_S, np.ones((2, 3), bool))
-        assert out_I.shape == (2, 3, 8)
-        assert out_S.shape == (2, 3, 8)
+        H, rows = packed(rng.standard_normal((2, 3, 8)))
+        out_I, out_S = stack.forward(H, W_I, W_S, rows)
+        assert out_I.shape == (6, 8)
+        assert out_S.shape == (6, 8)
 
     def test_single_layer_allowed_zero_rejected(self):
         make_stack(L=1)
@@ -337,76 +340,75 @@ class TestStack:
     def test_self_attention_mode_mixes_both_streams(self, rng):
         stack = make_stack(mode=AblationMode.SELF_ATTENTION)
         W_I, W_S = label_matrices()
-        H = ad.Tensor(rng.standard_normal((2, 4, 8)))
-        out_I, out_S = stack.forward(H, W_I, W_S, np.ones((2, 4), bool))
+        H, rows = packed(rng.standard_normal((2, 4, 8)))
+        out_I, out_S = stack.forward(H, W_I, W_S, rows)
         assert np.isfinite(out_I.data).all()
         assert np.isfinite(out_S.data).all()
         assert not np.allclose(out_I.data, out_S.data)
 
     def test_padding_invariance_full_stack(self, rng):
+        # The same real rows under a wider mask: only attention sees the
+        # padded layout, and its extra pad keys must carry no weight.
         for mode in ALL_MODES:
             stack = make_stack(mode=mode, seed=3)
             W_I, W_S = label_matrices()
-            H_real = rng.standard_normal((2, 3, 8))
             mask = np.array([[True, True, True], [True, True, False]])
-            H_real[1, 2] = 0.0  # encoder zeroes pad positions
-            out = stack.forward(ad.Tensor(H_real), W_I, W_S, mask)
+            H, rows = packed(rng.standard_normal((2, 3, 8)), mask)
+            out = stack.forward(H, W_I, W_S, rows)
 
-            pad = np.zeros((2, 2, 8))
-            H_padded = np.concatenate([H_real, pad], axis=1)
             mask_padded = np.concatenate([mask, np.zeros((2, 2), bool)], axis=1)
-            out_pad = stack.forward(ad.Tensor(H_padded), W_I, W_S, mask_padded)
+            out_pad = stack.forward(H, W_I, W_S, RowMap(mask_padded))
 
             for a, b in zip(out, out_pad):
-                np.testing.assert_allclose(
-                    np.where(mask[:, :, None], b.data[:, :3], 0.0),
-                    np.where(mask[:, :, None], a.data, 0.0),
-                    atol=1e-5, err_msg=f"mode={mode}",
-                )
+                np.testing.assert_allclose(b.data, a.data, atol=1e-5, err_msg=f"mode={mode}")
 
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_pads_are_zero_and_pad_inputs_ignored(self, mode, rng):
-        # Pad rows never enter the packed stream: outputs there are exactly
-        # zero, and junk written into the pad rows of H changes no bit of
-        # any real output.
-        stack = make_stack(mode=mode, seed=3)
-        W_I, W_S = label_matrices()
-        mask = np.array([[True, True, True, True], [True, True, False, False]])
-        H = rng.standard_normal((2, 4, 8))
-        out = stack.forward(ad.Tensor(H), W_I, W_S, mask)
-        H[~mask] = 1e6 * rng.standard_normal((2, 8))
-        junk = stack.forward(ad.Tensor(H), W_I, W_S, mask)
-        for a, b in zip(out, junk):
-            assert not a.data[~mask].any()
-            np.testing.assert_array_equal(a.data, b.data)
+    def test_pads_are_zero_and_pad_inputs_ignored(self, mode):
+        # Pad positions never enter the packed stream: the model's
+        # emissions there are exactly zero, and other token ids written
+        # into the pad positions change no bit of any output.
+        model, batch = toy_setup(seed=3, ablation=mode.value)
+        pads = ~batch.mask
+        assert pads.any()
+        logits, emissions = model.forward(batch.token_ids, batch.mask)
+        assert not emissions.data[pads].any()
+        ids = batch.token_ids.copy()
+        ids[pads] = model.vocab.n_words - 1
+        junk_logits, junk_emissions = model.forward(ids, batch.mask)
+        np.testing.assert_array_equal(junk_logits.data, logits.data)
+        np.testing.assert_array_equal(junk_emissions.data, emissions.data)
 
-    def test_sentence_without_real_tokens_rejected(self, rng):
-        stack = make_stack()
-        W_I, W_S = label_matrices()
-        mask = np.array([[True, True], [False, False]])
+    def test_sentence_without_real_tokens_rejected(self):
         with pytest.raises(ValueError, match="no real tokens"):
-            stack.forward(ad.Tensor(rng.standard_normal((2, 2, 8))), W_I, W_S, mask)
+            RowMap(np.array([[True, True], [False, False]]))
 
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_no_padded_tensor_between_pack_and_unpack(self, mode, rng):
-        # Every node the layers create holds N = 7 packed rows; only the
-        # two unpacked outputs (and H itself) have B * n = 10.
+    def test_no_padded_tensor_between_pack_and_unpack(self, mode):
+        # From the BiLSTM's packed output to the heads, every node holds
+        # N = 7 packed rows (or one row per sentence, after the intent
+        # pool); only the embedded input and the emissions the CRF reads
+        # have B * n = 10.
         B, n = 2, 5
-        stack = make_stack(mode=mode)
-        W_I, W_S = label_matrices()
+        ref, _ = toy_setup(seed=0, ablation=mode.value)
+        config = ref.config.replace(dropout=0.2, encoder_dropout=0.2)
+        model = JointModel(config, ref.vocab, dtype=np.float64)
         mask = np.array([[True] * 5, [True, True, False, False, False]])
-        H = ad.Tensor(rng.standard_normal((B, n, 8)), requires_grad=True)
-        outs = stack.forward(H, W_I, W_S, mask, dropout_p=0.2,
-                             rng=np.random.default_rng(0), training=True)
-        seen, todo, inner = set(), [p for o in outs for p in o._parents], []
+        ids = np.where(mask, 2, 0)
+        logits, emissions = model.forward(ids, mask, training=True)
+        assert emissions.shape[:2] == (B, n)
+        (scores,) = emissions._parents
+        bilstm_weights = model.encoder.fwd.W
+        seen, todo, inner = set(), [logits, scores], []
         while todo:
             node = todo.pop()
-            if id(node) in seen or node is H or not node._parents:
+            if id(node) in seen or not node._parents:
                 continue
             seen.add(id(node))
             inner.append(node)
-            todo.extend(node._parents)
+            if bilstm_weights not in node._parents:
+                todo.extend(node._parents)
         assert len(inner) > 20
+        assert any(bilstm_weights in node._parents for node in inner)
         for node in inner:
             assert node.shape[0] != B * n and node.shape[:2] != (B, n), node
 
@@ -415,14 +417,13 @@ class TestStack:
         # intent_to_slot_only mode; scrambling them must change nothing.
         stack = make_stack(mode=AblationMode.INTENT_TO_SLOT_ONLY, seed=5)
         W_I, W_S = label_matrices()
-        H = ad.Tensor(rng.standard_normal((2, 3, 8)))
-        mask = np.ones((2, 3), bool)
-        base_I, base_S = stack.forward(H, W_I, W_S, mask)
+        H, rows = packed(rng.standard_normal((2, 3, 8)))
+        base_I, base_S = stack.forward(H, W_I, W_S, rows)
 
         for layer in stack.layers:
             for key in ("q_i", "k_s", "v_s"):
                 layer._weights[key].data[:] = rng.standard_normal((8, 8))
-        pert_I, pert_S = stack.forward(H, W_I, W_S, mask)
+        pert_I, pert_S = stack.forward(H, W_I, W_S, rows)
 
         np.testing.assert_array_equal(base_I.data, pert_I.data)
         np.testing.assert_array_equal(base_S.data, pert_S.data)
@@ -436,13 +437,13 @@ class TestGradients:
         stack = make_stack(d=4, heads=2, ffn=8, L=2, mode=mode, seed=7)
         W_I, W_S = label_matrices(d=4, n_s=3, n_i=2, seed=8)
         rng = np.random.default_rng(9)
-        H = ad.Tensor(rng.standard_normal((2, 3, 4)))
         mask = np.array([[True, True, True], [True, True, False]])
-        r_I = rng.standard_normal((2, 3, 4))
-        r_S = rng.standard_normal((2, 3, 4))
+        H, rows = packed(rng.standard_normal((2, 3, 4)), mask)
+        r_I = rng.standard_normal((5, 4))
+        r_S = rng.standard_normal((5, 4))
 
         def loss_tensor():
-            out_I, out_S = stack.forward(H, W_I, W_S, mask)
+            out_I, out_S = stack.forward(H, W_I, W_S, rows)
             return ad.add(ad.tsum(ad.mul(out_I, ad.Tensor(r_I))),
                           ad.tsum(ad.mul(out_S, ad.Tensor(r_S))))
 

@@ -98,7 +98,7 @@ class TestDtypeContract:
 
 
 class TestGraphSize:
-    def test_base_shape_training_graph_has_at_most_160_nodes(self):
+    def test_base_shape_training_graph_has_at_most_140_nodes(self):
         # A configs/base.cfg model on a B=32 batch with lengths 6-24 (the
         # benchmark's train_base shape; node count depends on the config and
         # the ablation, not on the lengths).
@@ -115,7 +115,18 @@ class TestGraphSize:
                       intent_ids=gen.integers(0, 21, 32), lengths=lengths)
         model = JointModel(config, vocab)
         census = graph_dtype_census(model.loss(batch, training=True))
-        assert census["float32"]["nodes"] <= 160, census
+        assert census["float32"]["nodes"] <= 140, census
+
+
+class TestMaskLayout:
+    @pytest.mark.parametrize("mask,message", [
+        ([[True, True, True, True], [True, False, True, False]], "prefix"),
+        ([[True, True, True, True], [False, False, False, False]], "no real tokens"),
+    ], ids=["non_prefix", "empty_sentence"])
+    def test_forward_rejects_a_bad_mask(self, mask, message):
+        model, batch = toy_setup(seed=0)
+        with pytest.raises(ValueError, match=message):
+            model.forward(batch.token_ids, np.array(mask))
 
 
 class TestComposedKernels:
