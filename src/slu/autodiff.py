@@ -243,6 +243,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _row_sum(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """``scale`` times the sum of ``x`` over its last axis, keepdims, as one
+    matrix-vector product with a constant vector in ``x``'s dtype.
+
+    numpy reduces a short last axis 5-10 times slower than an elementwise
+    pass over the same array; BLAS's GEMV does not. A float32 ``x`` stays
+    float32. ``scale=1/d`` gives the mean.
+    """
+    d = x.shape[-1]
+    lead = x.shape[:-1]
+    w = np.full(d, scale, dtype=x.dtype)
+    return (x.reshape(math.prod(lead), d) @ w).reshape(lead + (1,))
+
+
 def _make_node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -385,18 +399,17 @@ def relu(a) -> Tensor:
 def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax along ``axis``."""
     a = _as_tensor(a)
-    x = a.data
+    x = a.data.swapaxes(axis, -1)
     # Non-finite inputs (a diverging model) flow through as NaN output
     # rather than erroring here, so the caller can see the NaN loss.
-    m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    data = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    s = e / _row_sum(e)
 
     def backward(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - inner),)
+        g = g.swapaxes(axis, -1)
+        return ((s * (g - _row_sum(g * s))).swapaxes(axis, -1),)
 
-    return _make_node(data, (a,), backward)
+    return _make_node(s.swapaxes(axis, -1), (a,), backward)
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -420,20 +433,14 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     d = a.data.shape[-1]
     if d == 0:
         raise ShapeError("layer_norm over an empty feature axis")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    xc = a.data - _row_sum(a.data, 1.0 / d)
+    inv = 1.0 / np.sqrt(_row_sum(xc * xc, 1.0 / d) + eps)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
 
     def backward(g):
         gx = g * gamma.data
-        da = inv * (
-            gx
-            - gx.mean(axis=-1, keepdims=True)
-            - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        )
+        da = inv * (gx - _row_sum(gx, 1.0 / d) - xhat * _row_sum(gx * xhat, 1.0 / d))
         return da, _unbroadcast(g * xhat, gamma.data.shape), _unbroadcast(g, beta.data.shape)
 
     return _make_node(data, (a, gamma, beta), backward)
@@ -466,6 +473,8 @@ def maxpool_over_time(a, lengths: np.ndarray) -> Tensor:
     Sentence b owns the ``lengths[b]`` rows after those of sentences
     0..b-1. Ties route the gradient to the earliest winning row; a NaN
     wins its column, so it reaches its own sentence's output and no other.
+    With no graph to build (under ``no_grad``, or for an input without
+    grad) the segment max is returned as it is, with the same values.
     """
     a = _as_tensor(a)
     x = a.data
@@ -476,6 +485,9 @@ def maxpool_over_time(a, lengths: np.ndarray) -> Tensor:
         raise ValueError(f"maxpool_over_time: lengths must be positive and sum to "
                          f"{len(x)}, got {lengths.tolist()}")
     starts = np.cumsum(lengths) - lengths
-    peak = np.repeat(np.maximum.reduceat(x, starts), lengths, axis=0)
+    peak = np.maximum.reduceat(x, starts)
+    if not (_grad_enabled and a.requires_grad):
+        return Tensor(peak)
+    peak = np.repeat(peak, lengths, axis=0)
     wins = np.where((x == peak) | np.isnan(x), np.arange(len(x))[:, None], len(x))
     return getitem(a, (np.minimum.reduceat(wins, starts), np.arange(x.shape[1])))

@@ -187,25 +187,30 @@ class CrfHead:
     def viterbi(self, emissions: np.ndarray, mask: np.ndarray) -> list[list[int]]:
         """Best-scoring tag path per sequence (max-product with backpointers).
 
-        Score ties at a backpointer resolve to the lowest label index.
+        The transition block is transposed once into a (to, from) layout,
+        so each step's add and ``argmax`` run along the contiguous axis of
+        one reused (S, S) buffer. Score ties at a backpointer resolve to
+        the lowest label index.
         """
         emissions = np.asarray(emissions)
         lengths = RowMap(mask).lengths
         S = self.num_slots
         T = self.T.data
-        trans = T[:S, :S]
+        trans = np.ascontiguousarray(T[:S, :S].T)  # (to, from)
         start = T[self.begin, :S]
         end = T[:S, self.end]
+        cand = np.empty((S, S), dtype=np.result_type(emissions, T))
+        to = np.arange(S)
         paths: list[list[int]] = []
         for b in range(emissions.shape[0]):
             length = int(lengths[b])
             em = emissions[b, :length]
             delta = start + em[0]
-            backptr = np.zeros((length, S), dtype=np.int64)
+            backptr = np.zeros((length, S), dtype=np.intp)
             for t in range(1, length):
-                cand = delta[:, None] + trans  # (from, to)
-                backptr[t] = cand.argmax(axis=0)
-                delta = cand[backptr[t], np.arange(S)] + em[t]
+                np.add(trans, delta, out=cand)
+                cand.argmax(axis=1, out=backptr[t])
+                delta = cand[to, backptr[t]] + em[t]
             delta = delta + end
             best = int(delta.argmax())
             path = [best]

@@ -56,6 +56,16 @@ def label_attention(H: Tensor, W: Tensor, rows: RowMap,
     return ad.add(H, ad.matmul(A, ad.transpose(W, (1, 0))))
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Max over the last axis, keepdims: a running ``np.maximum`` over its
+    columns, bit-equal to ``np.max`` (a NaN propagates) and several times
+    faster for the short key axis of attention scores."""
+    m = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j:j + 1], out=m)
+    return m
+
+
 def multi_head_attention(Q: Tensor, K: Tensor, V: Tensor, rows: RowMap,
                          num_heads: int, dropout_p: float = 0.0,
                          rng: np.random.Generator | None = None,
@@ -65,13 +75,17 @@ def multi_head_attention(Q: Tensor, K: Tensor, V: Tensor, rows: RowMap,
     Heads are split from dm, attended independently within each sentence
     and concatenated back; no output projection. The forward scatters the
     rows into zero-padded (B, h, n, dk) heads, forms the scores with one
-    product, masks the pad keys once in place, then runs softmax, dropout
-    (a keep mask drawn at the (B, h, n, n) shape) and the context product,
-    and gathers the real rows. The backward forms dV, then the gradient of
-    the weights, then the softmax backward A * (dA - sum(dA * A)) times
-    the scale, then dQ and dK: FlashAttention's fused forward and backward
-    (Dao et al., arXiv 2205.14135) without the tiling. The 1/sqrt(dk)
-    scale is a Python float, so a float32 model stays float32.
+    product, masks the pad keys with one broadcast add of a (B, 1, 1, n)
+    0/-inf bias, then runs softmax, dropout (a keep mask drawn at the
+    (B, h, n, n) shape) and the context product, and gathers the real
+    rows. The backward forms dV, then the gradient of the weights, then
+    the softmax backward A * (dA - sum(dA * A)) times the scale, then dQ
+    and dK: FlashAttention's fused forward and backward (Dao et al., arXiv
+    2205.14135) without the tiling. The softmax's row max is a running
+    maximum over the key columns and its row sums, forward and backward,
+    are GEMVs, because numpy's reductions over a short last axis are
+    slow. The 1/sqrt(dk) scale is a Python float, so a float32 model
+    stays float32.
     """
     dm = Q.shape[-1]
     if dm % num_heads != 0:
@@ -89,10 +103,10 @@ def multi_head_attention(Q: Tensor, K: Tensor, V: Tensor, rows: RowMap,
     q, k, v = heads(Q.data), heads(K.data), heads(V.data)
     A = q @ k.swapaxes(-1, -2)
     A *= scale
-    np.copyto(A, -np.inf, where=~rows.mask[:, None, None, :])
-    A -= A.max(axis=-1, keepdims=True)
+    A += np.where(rows.mask, 0.0, -np.inf).astype(A.dtype)[:, None, None, :]
+    A -= _row_max(A)
     np.exp(A, out=A)
-    A /= A.sum(axis=-1, keepdims=True)
+    A /= ad._row_sum(A)
     keep = None
     if training and dropout_p > 0.0:
         keep = (rng.random(A.shape) >= dropout_p).astype(A.dtype) * (1.0 / (1.0 - dropout_p))
@@ -105,7 +119,7 @@ def multi_head_attention(Q: Tensor, K: Tensor, V: Tensor, rows: RowMap,
         dA = G @ v.swapaxes(-1, -2)
         if keep is not None:
             dA *= keep
-        dA -= (dA * A).sum(axis=-1, keepdims=True)
+        dA -= ad._row_sum(dA * A)
         dA *= A
         dA *= scale
         return merge(dA @ k), merge(dA.swapaxes(-1, -2) @ q), dV

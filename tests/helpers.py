@@ -112,6 +112,31 @@ def crf_gold_score_loop(crf, emissions: np.ndarray, gold: np.ndarray, mask: np.n
     return scores, dE, dT
 
 
+def viterbi_loop(crf, emissions: np.ndarray, mask: np.ndarray) -> list[list[int]]:
+    """Best path per sentence with the (from, to) layout: each step adds the
+    state down the rows of ``T[:S, :S]`` and takes ``argmax(axis=0)``, so
+    ties go to the lowest ``from`` index. Reference for ``CrfHead.viterbi``."""
+    S = crf.num_slots
+    T = crf.T.data
+    trans, start, end = T[:S, :S], T[crf.begin, :S], T[:S, crf.end]
+    paths = []
+    for b, length in enumerate(np.asarray(mask).sum(axis=1)):
+        em = emissions[b, :length]
+        delta = start + em[0]
+        backptr = np.zeros((length, S), dtype=np.int64)
+        for t in range(1, length):
+            cand = delta[:, None] + trans  # (from, to)
+            backptr[t] = cand.argmax(axis=0)
+            delta = cand[backptr[t], np.arange(S)] + em[t]
+        best = int((delta + end).argmax())
+        path = [best]
+        for t in range(length - 1, 0, -1):
+            best = int(backptr[t, best])
+            path.append(best)
+        paths.append(path[::-1])
+    return paths
+
+
 def fd_check_unary(op, x: np.ndarray, tol: float = FD_TOL, **kwargs):
     """Backward of ``op`` against finite differences, via a random projection.
 
@@ -140,6 +165,37 @@ def fd_check_unary(op, x: np.ndarray, tol: float = FD_TOL, **kwargs):
 # Generic ops the package does not need: the composed oracles below are
 # built from them, and engine tests use them as a nonlinearity, a view or
 # a many-parent node.
+
+
+def softmax_oracle(a, axis: int = -1) -> ad.Tensor:
+    """Softmax with numpy's own reductions, ``max`` and ``sum`` along
+    ``axis``. Reference for ``ad.softmax``."""
+    x = a.data
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    data = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        return (data * (g - (g * data).sum(axis=axis, keepdims=True)),)
+
+    return ad._make_node(data, (a,), backward)
+
+
+def layer_norm_oracle(a, gamma, beta, eps: float = 1e-5) -> ad.Tensor:
+    """Layer norm with numpy's ``mean`` over the last axis. Reference for
+    ``ad.layer_norm``."""
+    mu = a.data.mean(axis=-1, keepdims=True)
+    xc = a.data - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+
+    def backward(g):
+        gx = g * gamma.data
+        da = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        return da, ad._unbroadcast(g * xhat, gamma.data.shape), \
+            ad._unbroadcast(g, beta.data.shape)
+
+    return ad._make_node(xhat * gamma.data + beta.data, (a, gamma, beta), backward)
 
 
 def sigmoid(a) -> ad.Tensor:

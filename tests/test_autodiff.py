@@ -14,12 +14,16 @@ from slu.config import AblationMode
 from slu.data import RowMap
 from slu.gradcheck import toy_setup
 
+from slu.interaction import _row_max
+
 from helpers import (
     assert_close,
     fd_check_unary,
+    layer_norm_oracle,
     numeric_grad,
     reshape,
     sigmoid,
+    softmax_oracle,
     stack,
     tanh,
     where,
@@ -341,6 +345,71 @@ class TestRowScatter:
         expected = dense.copy()
         np.add.at(expected, ids, r)
         np.testing.assert_allclose(tt.grad, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestReductionKernels:
+    @pytest.mark.parametrize("width", [1, 2, 24, 46])
+    def test_attention_row_max_is_np_max(self, rng, width):
+        x = rng.standard_normal((3, 2, 5, width)).astype(np.float32)
+        x[0, :, :, width // 2:] = -np.inf  # pad keys
+        x[1, 0, 2, width - 1] = np.nan
+        got = _row_max(x)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, np.max(x, axis=-1, keepdims=True))
+        assert np.isnan(got[1, 0, 2, 0])
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("shape", [(7,), (5, 128), (3, 2, 6, 24), (0, 4)])
+    def test_gemv_row_sum_matches_np_sum(self, rng, dtype, tol, shape):
+        x = rng.standard_normal(shape).astype(dtype)
+        for scale in (1.0, 1.0 / shape[-1]):
+            got = ad._row_sum(x, scale)
+            assert got.dtype == dtype
+            ref = np.sum(x, axis=-1, keepdims=True) * scale
+            # relative to the sum of magnitudes, the scale of a sum's rounding
+            bound = tol * np.abs(x).sum(axis=-1, keepdims=True) * scale
+            assert got.shape == ref.shape and (np.abs(got - ref) <= bound).all()
+
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_softmax_matches_the_numpy_reduction_oracle(self, rng, axis):
+        x = rng.standard_normal((4, 6, 9))
+        r = rng.standard_normal(x.shape)
+        grads = []
+        for op in (ad.softmax, softmax_oracle):
+            tx = ad.Tensor(x, requires_grad=True)
+            out = op(tx, axis=axis)
+            ad.tsum(ad.mul(out, ad.Tensor(r))).backward()
+            grads.append((out.data, tx.grad))
+        (got, got_grad), (ref, ref_grad) = grads
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got_grad, ref_grad, rtol=1e-12, atol=1e-15)
+
+    def test_layer_norm_matches_the_numpy_reduction_oracle(self, rng):
+        x = 3.0 * rng.standard_normal((5, 7, 128)) + 1.5
+        gamma, beta = rng.standard_normal(128), rng.standard_normal(128)
+        r = rng.standard_normal(x.shape)
+        results = []
+        for op in (ad.layer_norm, layer_norm_oracle):
+            ts = [ad.Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+            out = op(*ts)
+            ad.tsum(ad.mul(out, ad.Tensor(r))).backward()
+            results.append([out.data] + [t.grad for t in ts])
+        for got, ref in zip(*results):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    def test_maxpool_without_a_graph_is_bit_equal_to_the_graph_path(self):
+        x = np.array([[1.0, 2.0, -3.0], [np.nan, 2.0, -3.0], [4.0, 0.5, 7.0],
+                      [4.0, 0.5, 7.0], [4.0, -1.0, 2.0], [-2.0, 9.0, np.nan]],
+                     dtype=np.float32)
+        lengths = np.array([2, 3, 1])
+        graph = ad.maxpool_over_time(ad.Tensor(x, requires_grad=True), lengths)
+        assert graph.requires_grad
+        plain = ad.maxpool_over_time(ad.Tensor(x), lengths)
+        with ad.no_grad():
+            no_grad = ad.maxpool_over_time(ad.Tensor(x, requires_grad=True), lengths)
+        for fast in (plain, no_grad):
+            assert not fast.requires_grad and fast.dtype == np.float32
+            assert fast.data.tobytes() == graph.data.tobytes()
 
 
 class TestFiniteDifferences:

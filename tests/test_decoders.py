@@ -21,6 +21,7 @@ from helpers import (
     crf_gold_score_loop,
     crf_log_partition_composed,
     numeric_grad,
+    viterbi_loop,
 )
 
 
@@ -387,6 +388,45 @@ class TestViterbi:
                 return s + T[path[-1], S + 1]
 
             assert score(pred) >= score(gold[0].tolist()) - 1e-9
+
+    def _oracle_case(self, rng, lengths):
+        S = 120
+        crf = CrfHead(8, S, rng, dtype=np.float32)
+        mask = np.arange(max(lengths))[None, :] < np.array(lengths)[:, None]
+        em = rng.standard_normal(mask.shape + (S,)).astype(np.float32)
+        return crf, em, mask
+
+    def test_matches_the_from_to_loop_on_a_ragged_batch(self, rng):
+        crf, em, mask = self._oracle_case(rng, [1, 46, 7, 2, 30, 1, 13])
+        assert crf.viterbi(em, mask) == viterbi_loop(crf, em, mask)
+
+    def test_matches_the_from_to_loop_on_planted_ties(self, rng):
+        # States 3 and 7 get equal rows and columns of T and equal
+        # emissions, so at every step the two `from` states tie: both
+        # layouts must send the backpointer to the lower one.
+        crf, em, mask = self._oracle_case(rng, [12, 5, 1, 9])
+        T = crf.T.data
+        T[7] = T[3]
+        T[:, 7] = T[:, 3]
+        em[:, :, 7] = em[:, :, 3] = em[:, :, 3] + 4.0
+        paths = crf.viterbi(em, mask)
+        assert paths == viterbi_loop(crf, em, mask)
+        assert any(3 in path for path in paths)
+        assert all(7 not in path for path in paths)
+
+    def test_matches_the_from_to_loop_with_a_forbidden_transition(self, rng):
+        crf, em, mask = self._oracle_case(rng, [20, 3, 1, 46])
+        em[:, :, 5] += 6.0
+        crf.T.data[5, 5] = NEG_INF
+        paths = crf.viterbi(em, mask)
+        assert paths == viterbi_loop(crf, em, mask)
+        assert all((a, b) != (5, 5) for path in paths for a, b in zip(path, path[1:]))
+
+    def test_matches_the_from_to_loop_on_length_one_sentences(self, rng):
+        crf, em, mask = self._oracle_case(rng, [1] * 9)
+        paths = crf.viterbi(em, mask)
+        assert paths == viterbi_loop(crf, em, mask)
+        assert all(len(path) == 1 for path in paths)
 
     def test_empty_sequence_rejected(self):
         crf = make_crf(2)

@@ -337,6 +337,33 @@ class TestPredictDataset:
             singles, [(u.intent, u.slots) for u in data])
 
 
+class TestPaddingInvariance:
+    def test_base_width_float32_decodes_match_one_sentence_at_a_time(self):
+        # Row sums are BLAS products whose rounding could depend on where a
+        # row sits in the batch; at the base width in float32, padding a
+        # sentence into a batch must not change its emissions by more than
+        # 1e-5 or its decode at all.
+        rng = np.random.default_rng(14)
+        vocab = Vocab(id2word=["<pad>", "<unk>"] + [f"w{i}" for i in range(60)],
+                      id2slot=[f"s{i}" for i in range(120)],
+                      id2intent=[f"i{i}" for i in range(21)])
+        model = JointModel(Config(seed=14).validate(), vocab)
+        lengths = np.r_[1, 46, rng.integers(1, 47, size=14)]
+        mask = np.arange(46)[None, :] < lengths[:, None]
+        ids = np.where(mask, rng.integers(2, vocab.n_words, size=mask.shape), 0)
+        with ad.no_grad():
+            _, em = model.forward(ids, mask)
+        intents, paths = model.predict(ids, mask)
+        for b, n in enumerate(lengths):
+            one_ids, one_mask = ids[b:b + 1, :n], mask[b:b + 1, :n]
+            with ad.no_grad():
+                _, one_em = model.forward(one_ids, one_mask)
+            one_intent, one_path = model.predict(one_ids, one_mask)
+            np.testing.assert_allclose(one_em.data[0], em.data[b, :n], rtol=0, atol=1e-5)
+            assert one_intent[0] == intents[b]
+            assert one_path[0] == paths[b]
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         data = tiny_corpus()
