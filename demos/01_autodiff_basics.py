@@ -41,7 +41,7 @@ print(f"numeric  dloss/dW[{i},{j}] = {numeric:.8f}")
 # pad keys' scores to -inf before it (inside its fused node), so they get
 # zero probability and the rest renormalize.
 scores = ad.Tensor(np.array([[1.0, 2.0, 3.0, -np.inf]]))
-probs = ad.softmax(scores, axis=-1)
+probs = ad.softmax(scores)
 print(f"softmax: {np.round(probs.data, 4)} (last entry is padding)")
 
 # no_grad() turns off graph recording, as used during evaluation.

@@ -295,11 +295,7 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes, broadcasting leading axes.
-
-    With a 2-D ``b`` the leading axes of ``a`` fold into the row axis, so
-    the product and both gradients are single 2-D GEMMs.
-    """
+    """Matrix product over the last two axes, broadcasting leading axes."""
     a = _as_tensor(a)
     b = _as_tensor(b, ref=a)
     if a.ndim < 2 or b.ndim < 2:
@@ -310,27 +306,15 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.shape} @ {b.shape}"
         )
-    if b.ndim > 2:
-        data = a.data @ b.data
-
-        def backward(g):
-            return (
-                _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-                if a.requires_grad else None,
-                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-                if b.requires_grad else None,
-            )
-
-        return _make_node(data, (a, b), backward)
-
-    k, m = b.shape
-    rows = math.prod(a.shape[:-1])
-    data = (a.data.reshape(rows, k) @ b.data).reshape(a.shape[:-1] + (m,))
+    data = a.data @ b.data
 
     def backward(g):
-        g2 = g.reshape(rows, m)
-        return ((g2 @ b.data.T).reshape(a.data.shape) if a.requires_grad else None,
-                a.data.reshape(rows, k).T @ g2 if b.requires_grad else None)
+        return (
+            _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+            if a.requires_grad else None,
+            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+            if b.requires_grad else None,
+        )
 
     return _make_node(data, (a, b), backward)
 
@@ -396,33 +380,30 @@ def relu(a) -> Tensor:
     return _make_node(data, (a,), backward)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along ``axis``."""
+def softmax(a) -> Tensor:
+    """Numerically stabilized softmax along the last axis."""
     a = _as_tensor(a)
-    x = a.data.swapaxes(axis, -1)
+    x = a.data
     # Non-finite inputs (a diverging model) flow through as NaN output
     # rather than erroring here, so the caller can see the NaN loss.
     e = np.exp(x - np.max(x, axis=-1, keepdims=True))
     s = e / _row_sum(e)
 
     def backward(g):
-        g = g.swapaxes(axis, -1)
-        return ((s * (g - _row_sum(g * s))).swapaxes(axis, -1),)
+        return (s * (g - _row_sum(g * s)),)
 
-    return _make_node(s.swapaxes(axis, -1), (a,), backward)
+    return _make_node(s, (a,), backward)
 
 
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
+def logsumexp(a, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
     m = np.max(a.data, axis=axis, keepdims=True)
     out_k = m + np.log(np.exp(a.data - m).sum(axis=axis, keepdims=True))
-    data = out_k if keepdims else np.squeeze(out_k, axis=axis)
 
     def backward(g):
-        gk = g if keepdims else np.expand_dims(g, axis)
-        return (np.exp(a.data - out_k) * gk,)
+        return (np.exp(a.data - out_k) * np.expand_dims(g, axis),)
 
-    return _make_node(data, (a,), backward)
+    return _make_node(np.squeeze(out_k, axis=axis), (a,), backward)
 
 
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -473,8 +454,6 @@ def maxpool_over_time(a, lengths: np.ndarray) -> Tensor:
     Sentence b owns the ``lengths[b]`` rows after those of sentences
     0..b-1. Ties route the gradient to the earliest winning row; a NaN
     wins its column, so it reaches its own sentence's output and no other.
-    With no graph to build (under ``no_grad``, or for an input without
-    grad) the segment max is returned as it is, with the same values.
     """
     a = _as_tensor(a)
     x = a.data
@@ -486,8 +465,10 @@ def maxpool_over_time(a, lengths: np.ndarray) -> Tensor:
                          f"{len(x)}, got {lengths.tolist()}")
     starts = np.cumsum(lengths) - lengths
     peak = np.maximum.reduceat(x, starts)
-    if not (_grad_enabled and a.requires_grad):
-        return Tensor(peak)
-    peak = np.repeat(peak, lengths, axis=0)
-    wins = np.where((x == peak) | np.isnan(x), np.arange(len(x))[:, None], len(x))
-    return getitem(a, (np.minimum.reduceat(wins, starts), np.arange(x.shape[1])))
+
+    def backward(g):
+        at_peak = (x == np.repeat(peak, lengths, axis=0)) | np.isnan(x)
+        wins = np.where(at_peak, np.arange(len(x))[:, None], len(x))
+        return (((np.minimum.reduceat(wins, starts), np.arange(x.shape[1])), g),)
+
+    return _make_node(peak, (a,), backward)

@@ -56,6 +56,10 @@ class Config:
     def validate(self) -> "Config":
         for f in fields(self):
             value = getattr(self, f.name)
+            # bool is an int subclass: only a bool field takes one.
+            if (not isinstance(value, _ACCEPTS[f.type])
+                    or isinstance(value, bool) != (f.type == "bool")):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.hidden_dim <= 0 or self.hidden_dim % 2 != 0:
@@ -118,6 +122,7 @@ class Config:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
+_ACCEPTS = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 def _coerce_value(key: str, raw) -> object:

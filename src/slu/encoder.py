@@ -6,15 +6,14 @@ concatenated feature-wise, so the output width is ``hidden_dim`` with
 with a hand-written backward through time: both directions step together
 in one numpy time loop, the node keeps each step's gate activations, cell
 states, ``tanh(c)`` and hidden states, and its backward forms the weight,
-bias and input gradients once over all steps after the reverse loop. The
-length reversal is plain indexing, its own inverse.
+bias and input gradients once over all steps after the reverse loop.
 
-Packed output: the batch's ``RowMap`` marks a non-empty prefix of each row,
-so pads trail the real tokens. The backward direction reads each sequence
-reversed within its length, so pads trail in its stream too and no real
-position ever reads a pad. The node emits only the real positions, as
-packed ``(N, hidden_dim)`` rows, and its backward scatters their gradient
-into the time loop, so pads get none. Appending pad tokens therefore
+Packed in and out: the embedding lookup reads only the real tokens, as
+``(N, embed_dim)`` rows in the batch's ``RowMap`` order. The BiLSTM places
+them in its zeroed time-major buffers, runs the padded time loop, and
+emits the real positions as packed ``(N, hidden_dim)`` rows. Pads trail
+the real tokens in both directions' streams, so no real position ever
+reads a pad, and pad token ids never enter the graph: appending pads
 cannot change any real position.
 """
 
@@ -105,20 +104,21 @@ class Encoder:
                 f"token id out of range [0, {vocab_size}): "
                 f"min={token_ids.min()}, max={token_ids.max()}"
             )
-        embedded = ad.dropout(self.embedding[token_ids], dropout_p, rng, training)
+        embedded = ad.dropout(self.embedding[rows.gather(token_ids)], dropout_p, rng,
+                              training, pad_mask=rows.mask)
         return self.bilstm(embedded, rows)
 
     def bilstm(self, embedded: Tensor, rows: RowMap) -> Tensor:
-        """Both LSTM directions over (B, n, e) inputs -> packed (N, hidden_dim).
+        """Both LSTM directions over packed (N, e) inputs -> packed (N, hidden_dim).
 
         The backward direction reads each sequence reversed within its
-        length (as TensorFlow's ``reverse_sequence``): time t maps to
-        len-1-t on real positions and to itself on pads. The map is its own
-        inverse, so plain indexing by it both reverses the inputs and puts
-        their gradient back in place, with no scatter. The output gathers
-        each direction's states at the real positions, in ``rows`` order;
-        the backward scatters the packed gradient into zeros, so pad steps
-        get none.
+        length (as TensorFlow's ``reverse_sequence``). Each packed row
+        ``(sent, t_fwd)`` is step ``t_fwd`` of the forward stream and step
+        ``t_bwd = len - 1 - t_fwd`` of the backward one. These two maps
+        scatter the inputs into zeroed time-major buffers, gather the output
+        states in ``rows`` order, and, in the backward pass, scatter the
+        packed output gradient (pad steps get none) and gather the input
+        gradient.
 
         The recursion is one graph node with parents ``(embedded, fwd.W,
         fwd.b, bwd.W, bwd.b)``, in plain numpy. The two directions' weights
@@ -133,19 +133,16 @@ class Encoder:
         all steps (the weight-gradient hoisting of Appleyard et al.,
         arXiv 1604.01946).
         """
-        B, n, e = embedded.shape
+        B, n = rows.mask.shape
+        e = embedded.shape[1]
         dh = self.hidden_dim // 2
-        batch = np.arange(B)[:, None]
-        steps = np.arange(n)
-        # (B, n), an involution per row
-        rev = np.where(rows.mask, rows.lengths[:, None] - 1 - steps, steps)
         sent, t_fwd = np.divmod(rows.rows, n)  # each packed row's (b, t)
         t_bwd = rows.lengths[sent] - 1 - t_fwd  # its step in the backward stream
         W = np.stack([self.fwd.W.data, self.bwd.W.data])  # (2, e + dh, 4dh)
         b = np.stack([self.fwd.b.data, self.bwd.b.data])  # (2, 4dh)
-        x = embedded.data
-        # Time-major inputs per direction: x2[1, t, b] = x[b, rev[b, t]].
-        x2 = np.stack([x.transpose(1, 0, 2), x[batch.T, rev.T]]).reshape(2, n * B, e)
+        x2 = np.zeros((2, n, B, e), embedded.dtype)  # time-major inputs, zero at pads
+        x2[0, t_fwd, sent] = x2[1, t_bwd, sent] = embedded.data
+        x2 = x2.reshape(2, n * B, e)
         xW = (x2 @ W[:, :e] + b[:, None]).reshape(2, n, B, 4 * dh)
         W_h = W[:, e:]
         dtype = xW.dtype
@@ -207,7 +204,7 @@ class Encoder:
             dx = None
             if embedded.requires_grad:
                 dx2 = (dA2 @ np.swapaxes(W[:, :e], 1, 2)).reshape(2, n, B, e)
-                dx = dx2[0].transpose(1, 0, 2) + dx2[1][rev, batch]
+                dx = dx2[0, t_fwd, sent] + dx2[1, t_bwd, sent]
             return dx, dW[0], db[0], dW[1], db[1]
 
         return ad._make_node(out, (embedded, self.fwd.W, self.fwd.b, self.bwd.W, self.bwd.b),

@@ -51,7 +51,7 @@ def label_attention(H: Tensor, W: Tensor, rows: RowMap,
     ``W`` is the tied d x |labels| decoder matrix; the attention weight of
     each row distributes over the label axis.
     """
-    A = ad.softmax(ad.matmul(H, W), axis=-1)
+    A = ad.softmax(ad.matmul(H, W))
     A = ad.dropout(A, dropout_p, rng, training, pad_mask=rows.mask)
     return ad.add(H, ad.matmul(A, ad.transpose(W, (1, 0))))
 

@@ -167,15 +167,15 @@ def fd_check_unary(op, x: np.ndarray, tol: float = FD_TOL, **kwargs):
 # a many-parent node.
 
 
-def softmax_oracle(a, axis: int = -1) -> ad.Tensor:
-    """Softmax with numpy's own reductions, ``max`` and ``sum`` along
-    ``axis``. Reference for ``ad.softmax``."""
+def softmax_oracle(a) -> ad.Tensor:
+    """Softmax with numpy's own reductions, ``max`` and ``sum`` over the
+    last axis. Reference for ``ad.softmax``."""
     x = a.data
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    data = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        return (data * (g - (g * data).sum(axis=axis, keepdims=True)),)
+        return (data * (g - (g * data).sum(axis=-1, keepdims=True)),)
 
     return ad._make_node(data, (a,), backward)
 
@@ -286,10 +286,12 @@ def lstm_oracle_run(cell, embedded, mask: np.ndarray, reverse: bool):
     return stack(outputs, axis=1)
 
 
-def bilstm_oracle(enc, embedded, rows):
+def bilstm_oracle(enc, packed, rows):
     """Both directions of ``enc`` run apart by ``lstm_oracle_run`` on the
-    padded layout, then the real rows gathered in ``rows`` order."""
+    packed inputs scattered into the padded layout, then the real rows
+    gathered in ``rows`` order."""
     mask = rows.mask
+    embedded = scatter(packed, rows)
     padded = ad.concat([lstm_oracle_run(enc.fwd, embedded, mask, reverse=False),
                         lstm_oracle_run(enc.bwd, embedded, mask, reverse=True)], axis=-1)
     return gather(padded, rows)
@@ -322,7 +324,7 @@ def scatter(x, rows):
 def label_attention_padded(H, W, mask: np.ndarray, dropout_p: float = 0.0,
                            rng=None, training: bool = False):
     """H + softmax(H W) W^T on (B, n, d) states; pad positions pass through."""
-    A = ad.softmax(ad.matmul(H, W), axis=-1)
+    A = ad.softmax(ad.matmul(H, W))
     A = ad.dropout(A, dropout_p, rng, training)
     out = ad.add(H, ad.matmul(A, ad.transpose(W, (1, 0))))
     return where(mask[:, :, None], out, H)
@@ -342,7 +344,7 @@ def multi_head_attention_padded(Q, K, V, key_mask: np.ndarray, num_heads: int,
 
     q, k, v = split(Q), split(K), split(V)
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
-    A = ad.softmax(where(key_mask[:, None, None, :], scores, -np.inf), axis=-1)
+    A = ad.softmax(where(key_mask[:, None, None, :], scores, -np.inf))
     A = ad.dropout(A, dropout_p, rng, training)
     ctx = ad.matmul(A, v)
     return reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, n, dm))
@@ -494,6 +496,13 @@ def _without_first_offset(header: dict) -> dict:
     return header
 
 
+def _with_config(key: str, value):
+    def edit(header: dict) -> dict:
+        header["config"][key] = value
+        return header
+    return edit
+
+
 # Malformed checkpoints, each derived from the bytes of a valid one.
 CORRUPT_CHECKPOINTS = {
     "header_without_params": lambda raw: rewrite_header(raw, _without_params),
@@ -501,4 +510,8 @@ CORRUPT_CHECKPOINTS = {
     "record_without_offset": lambda raw: rewrite_header(raw, _without_first_offset),
     "header_len_past_end": lambda raw: (
         raw[:4] + (len(raw) + 1).to_bytes(8, "little") + raw[12:]),
+    # Mistyped config values: JSON numbers of the wrong kind.
+    "config_num_layers_float": lambda raw: rewrite_header(raw, _with_config("num_layers", 2.0)),
+    "config_seed_float": lambda raw: rewrite_header(raw, _with_config("seed", 1.5)),
+    "config_batch_size_float": lambda raw: rewrite_header(raw, _with_config("batch_size", 2.5)),
 }

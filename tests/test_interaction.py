@@ -1,7 +1,9 @@
 """Interaction block tests: stage-level oracles on packed rows, ablation
 wiring, masking invariance, the padded-oracle equivalence of the fused
-attention node, the packed layout from the BiLSTM to the heads, and
-gradient spot checks."""
+attention node, the packed layout from the embedding lookup to the heads,
+and gradient spot checks."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from slu import autodiff as ad
 from slu.config import AblationMode, ConfigError
 from slu.data import RowMap
+from slu.decoders import joint_loss
 from slu.gradcheck import toy_setup
 from slu.interaction import (
     InteractionLayer,
@@ -34,6 +37,19 @@ def label_matrices(d=8, n_s=4, n_i=3, seed=1, dtype=np.float64):
     W_S = ad.Tensor(rng.standard_normal((d, n_s)).astype(dtype), requires_grad=True)
     W_I = ad.Tensor(rng.standard_normal((d, n_i)).astype(dtype), requires_grad=True)
     return W_I, W_S
+
+
+def op_nodes(*roots):
+    """Every op node (a tensor with parents) reachable from ``roots``."""
+    seen, todo, nodes = set(), list(roots), []
+    while todo:
+        node = todo.pop()
+        if id(node) in seen or not node._parents:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        todo.extend(node._parents)
+    return nodes
 
 
 def packed(x: np.ndarray, mask: np.ndarray | None = None):
@@ -366,17 +382,28 @@ class TestStack:
     def test_pads_are_zero_and_pad_inputs_ignored(self, mode):
         # Pad positions never enter the packed stream: the model's
         # emissions there are exactly zero, and other token ids written
-        # into the pad positions change no bit of any output.
+        # into the pad positions change no bit of any output or of any
+        # parameter gradient.
         model, batch = toy_setup(seed=3, ablation=mode.value)
         pads = ~batch.mask
         assert pads.any()
-        logits, emissions = model.forward(batch.token_ids, batch.mask)
-        assert not emissions.data[pads].any()
-        ids = batch.token_ids.copy()
-        ids[pads] = model.vocab.n_words - 1
-        junk_logits, junk_emissions = model.forward(ids, batch.mask)
-        np.testing.assert_array_equal(junk_logits.data, logits.data)
-        np.testing.assert_array_equal(junk_emissions.data, emissions.data)
+        junk = dataclasses.replace(
+            batch, token_ids=np.where(pads, model.vocab.n_words - 1, batch.token_ids))
+        runs = []
+        for b in (batch, junk):
+            for p in model.params():
+                p.tensor.zero_grad()
+            logits, emissions = model.forward(b.token_ids, b.mask)
+            joint_loss(logits, b.intent_ids, model.crf, emissions, b.slot_ids,
+                       b.mask).backward()
+            grads = [None if p.tensor.grad is None else p.tensor.grad.tobytes()
+                     for p in model.params()]
+            runs.append((logits.data, emissions.data, grads))
+        (logits, emissions, grads), (junk_logits, junk_emissions, junk_grads) = runs
+        assert not emissions[pads].any()
+        np.testing.assert_array_equal(junk_logits, logits)
+        np.testing.assert_array_equal(junk_emissions, emissions)
+        assert junk_grads == grads
 
     def test_sentence_without_real_tokens_rejected(self):
         with pytest.raises(ValueError, match="no real tokens"):
@@ -384,10 +411,9 @@ class TestStack:
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_no_padded_tensor_between_pack_and_unpack(self, mode):
-        # From the BiLSTM's packed output to the heads, every node holds
-        # N = 7 packed rows (or one row per sentence, after the intent
-        # pool); only the embedded input and the emissions the CRF reads
-        # have B * n = 10.
+        # From the embedding lookup to the heads, every node holds N = 7
+        # packed rows (or one row per sentence, after the intent pool);
+        # only the emissions the CRF reads have the padded (B, n) layout.
         B, n = 2, 5
         ref, _ = toy_setup(seed=0, ablation=mode.value)
         config = ref.config.replace(dropout=0.2, encoder_dropout=0.2)
@@ -396,21 +422,27 @@ class TestStack:
         ids = np.where(mask, 2, 0)
         logits, emissions = model.forward(ids, mask, training=True)
         assert emissions.shape[:2] == (B, n)
-        (scores,) = emissions._parents
-        bilstm_weights = model.encoder.fwd.W
-        seen, todo, inner = set(), [logits, scores], []
-        while todo:
-            node = todo.pop()
-            if id(node) in seen or not node._parents:
-                continue
-            seen.add(id(node))
-            inner.append(node)
-            if bilstm_weights not in node._parents:
-                todo.extend(node._parents)
+        inner = op_nodes(logits, emissions)
         assert len(inner) > 20
-        assert any(bilstm_weights in node._parents for node in inner)
+        lookup = [node for node in inner if model.encoder.embedding in node._parents]
+        assert [node.shape for node in lookup] == [(7, config.embed_dim)]
         for node in inner:
-            assert node.shape[0] != B * n and node.shape[:2] != (B, n), node
+            if node is not emissions:
+                assert node.shape[0] != B * n and node.shape[:2] != (B, n), node
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_training_step_matmuls_are_2d(self, mode):
+        # On packed rows every matmul is one 2-D GEMM; a padded activation
+        # would take the batched-GEMM path and sum its weight gradient
+        # over the batch.
+        model, batch = toy_setup(seed=0, ablation=mode.value)
+        model = JointModel(model.config.replace(dropout=0.2, encoder_dropout=0.2),
+                           model.vocab, dtype=np.float64)
+        matmuls = [node for node in op_nodes(model.loss(batch, training=True))
+                   if node._backward.__qualname__.startswith("matmul.")]
+        assert matmuls
+        for node in matmuls:
+            assert [p.ndim for p in node._parents] == [2, 2], node
 
     def test_intent_stream_ignores_unused_direction_parameters(self, rng):
         # The slot-to-intent projections exist but are never evaluated in

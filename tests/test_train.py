@@ -17,7 +17,7 @@ from slu.checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from slu.config import AblationMode, Config, build_config
+from slu.config import AblationMode, Config, ConfigError, build_config
 from slu.data import Batch, DataError, Utterance, Vocab, build_vocab, make_batches
 from slu.gradcheck import toy_setup
 from slu.metrics import EvalReport, evaluate
@@ -439,6 +439,9 @@ class TestCheckpoint:
         ("header_is_json_array", "not a JSON object"),
         ("record_without_offset", "record 0: KeyError"),
         ("header_len_past_end", "header length"),
+        ("config_num_layers_float", "num_layers must be of type int, got 2.0"),
+        ("config_seed_float", "seed must be of type int, got 1.5"),
+        ("config_batch_size_float", "batch_size must be of type int, got 2.5"),
     ])
     def test_malformed_header_rejected(self, tmp_path, case, message):
         path = tmp_path / "model.ckpt"
@@ -446,6 +449,22 @@ class TestCheckpoint:
         path.write_bytes(CORRUPT_CHECKPOINTS[case](path.read_bytes()))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value,ok", [
+        ("num_layers", 2, True), ("num_layers", 2.0, False), ("seed", True, False),
+        ("lr", 1, True), ("lr", 0.5, True), ("lr", False, False), ("lr", "0.5", True),
+        ("lowercase", False, True), ("lowercase", 0, False), ("ablation", 5, False),
+        ("hidden_dim", None, False),
+    ])
+    def test_config_values_must_have_their_field_type(self, key, value, ok):
+        # A checkpoint header's config is JSON: an int field takes an int
+        # (not a bool), a float field an int or a float, a bool field only a
+        # bool; strings are parsed as in a config file.
+        if ok:
+            Config.from_dict({key: value})
+        else:
+            with pytest.raises(ConfigError, match=f"{key} must be of type"):
+                Config.from_dict({key: value})
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
