@@ -6,14 +6,13 @@ the graph in reverse topological order and accumulates gradients into every
 reachable leaf tensor with ``requires_grad`` set.
 
 An op's backward closure takes the gradient of its output and returns one
-contribution per parent, in parent order: a dense array (broadcastable to
-the parent's shape), ``None`` for no gradient, or an ``(index, values)``
-pair that scatters ``values`` into ``parent[index]``. Closures never touch
-a gradient buffer: ``_accumulate``, called only by ``backward()``, owns
-them. It skips parents without ``requires_grad``, stores a first dense
-contribution as a copy in the parent's dtype, adds later ones in place, and
-starts a scatter from zeros, summing repeated entries (a sorted row sum for
-one integer array on axis 0, ``np.add.at`` for other integer-array indices).
+contribution per parent, in parent order: an array broadcastable to the
+parent's shape, or ``None`` for no gradient. Closures never touch a
+gradient buffer: ``_accumulate``, called only by ``backward()``, owns them.
+It skips parents without ``requires_grad``, stores a first contribution as
+a copy in the parent's dtype and adds later ones in place. An op that
+reads entries more than once (``getitem`` with repeated ids) sums its own
+repeats before it returns.
 
 ``backward()`` frees the graph as it goes: once an intermediate tensor has
 passed its gradient on, its gradient buffer, its parents and its backward
@@ -95,6 +94,8 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a one-entry tensor, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
@@ -160,43 +161,16 @@ def _freed(g: np.ndarray) -> None:
     ``_topo_order`` refuses to walk through a tensor that carries it."""
 
 
-def _accumulate(node: Tensor, v) -> None:
+def _accumulate(node: Tensor, v: np.ndarray) -> None:
     """Add one contribution into ``node.grad``.
 
-    A dense first contribution is stored as a copy in the node's dtype, so
-    the buffer never aliases another array. An ``(index, values)`` scatter
-    starts from a zero buffer. Entries picked more than once must sum:
-
-    * one integer array, indexing axis 0 (an embedding lookup): a stable
-      sort groups the repeated rows, ``np.add.reduceat`` sums each group in
-      its original order, and the sums add into the distinct rows;
-    * any other index holding an integer array goes through ``np.add.at``;
-    * basic indices (ints, slices) pick each entry at most once and add in
-      place.
+    The first is stored as a copy in the node's dtype, so the buffer never
+    aliases an array a closure returned; later ones add in place.
     """
-    if not isinstance(v, tuple):
-        if node.grad is None:
-            node.grad = np.array(np.broadcast_to(v, node.data.shape), dtype=node.data.dtype)
-        else:
-            node.grad += v
-        return
-    idx, values = v
     if node.grad is None:
-        node.grad = np.zeros_like(node.data)
-    if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu":
-        if idx.size:
-            rows = idx.reshape(-1) % node.data.shape[0]  # negative ids wrap
-            order = np.argsort(rows, kind="stable")
-            rows = rows[order]
-            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-            flat = values.reshape((idx.size,) + node.data.shape[1:])
-            node.grad[rows[starts]] += np.add.reduceat(flat[order], starts, axis=0)
-        return
-    key = idx if isinstance(idx, tuple) else (idx,)
-    if any(isinstance(k, (np.ndarray, list)) for k in key):
-        np.add.at(node.grad, idx, values)
+        node.grad = np.array(np.broadcast_to(v, node.data.shape), dtype=node.data.dtype)
     else:
-        node.grad[idx] += values
+        node.grad += v
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -231,16 +205,16 @@ def _as_tensor(x, ref: Tensor | None = None) -> Tensor:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting), as an
+    array: numpy gives a scalar for 0-d products and full reductions."""
+    if grad.shape != shape:
+        extra = grad.ndim - len(shape)
+        if extra > 0:
+            grad = grad.sum(axis=tuple(range(extra)))
+        axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+        if axes:
+            grad = grad.sum(axis=axes, keepdims=True)
+    return np.asarray(grad)
 
 
 def _row_sum(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -354,13 +328,21 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
 
 
 def getitem(a, idx) -> Tensor:
-    """``a[idx]`` for any numpy index; the gradient scatters back into place,
-    summing over entries picked more than once."""
+    """``a[idx]`` for any numpy index.
+
+    The gradient scatters back by one rule: ``np.arange(a.size)`` shaped
+    like ``a`` and indexed by ``idx`` gives the flat position of every
+    entry the forward read (repeats, negative ids, slices, masks and
+    ``None`` alike), and a 1-D ``np.add.at`` sums ``g`` into them.
+    """
     a = _as_tensor(a)
     data = a.data[idx]
 
     def backward(g):
-        return ((idx, g),)
+        at = np.arange(a.data.size).reshape(a.data.shape)[idx]
+        d = np.zeros(a.data.size, dtype=a.data.dtype)
+        np.add.at(d, at.ravel(), g.ravel())
+        return (d.reshape(a.data.shape),)
 
     return _make_node(data, (a,), backward)
 
@@ -469,6 +451,8 @@ def maxpool_over_time(a, lengths: np.ndarray) -> Tensor:
     def backward(g):
         at_peak = (x == np.repeat(peak, lengths, axis=0)) | np.isnan(x)
         wins = np.where(at_peak, np.arange(len(x))[:, None], len(x))
-        return (((np.minimum.reduceat(wins, starts), np.arange(x.shape[1])), g),)
+        d = np.zeros_like(x)
+        d[np.minimum.reduceat(wins, starts), np.arange(x.shape[1])] = g
+        return (d,)
 
     return _make_node(peak, (a,), backward)

@@ -47,6 +47,11 @@ class Checkpoint:
     epoch: int = 0
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``True == 1`` and ``1.0 == 1``, but neither is one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _le_dtype(arr: np.ndarray) -> np.ndarray:
     dt = arr.dtype.newbyteorder("<")
     return arr.astype(dt, copy=False)
@@ -112,7 +117,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: corrupt header: not a JSON object")
     version = header.get("format_version")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {version!r} "
             f"(this build reads version {FORMAT_VERSION})"
@@ -123,6 +128,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 f"{path}: header field {key!r} is missing or not a JSON "
                 f"{'object' if kind is dict else 'array'}"
             )
+    epoch = header.get("epoch", 0)
+    if not _is_int(epoch):
+        raise CheckpointError(f"{path}: header field 'epoch' is {epoch!r}, not a JSON integer")
     blob = raw[12 + header_len :]
     params: dict[str, np.ndarray] = {}
     for i, rec in enumerate(header["params"]):
@@ -133,8 +141,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointError(
                 f"{path}: bad parameter record {i}: {exc!r}"
             ) from None
-        if not (isinstance(start, int) and isinstance(size, int)
-                and start >= 0 and size >= 0):
+        if not (_is_int(start) and _is_int(size) and start >= 0 and size >= 0):
             raise CheckpointError(
                 f"{path}: parameter record {i} has offset {start!r}, size {size!r}"
             )
@@ -150,7 +157,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         config = Config.from_dict(header["config"])
         vocab = Vocab.from_dict(header["vocab"])
-        epoch = int(header.get("epoch", 0))
     except ConfigError as exc:
         raise CheckpointError(f"{path}: bad config: {exc}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

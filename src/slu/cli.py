@@ -240,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, DataError, CheckpointError, AlignmentError,
-            DivergenceError) as exc:
+            DivergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

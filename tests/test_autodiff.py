@@ -67,6 +67,13 @@ class TestForwardValues:
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-7)
         np.testing.assert_allclose(out.std(axis=-1), 1.0, atol=1e-3)
 
+    def test_item_needs_exactly_one_entry(self):
+        assert ad.Tensor([[2.5]]).item() == 2.5
+        with pytest.raises(ad.ShapeError, match=r"\(2,\)"):
+            ad.Tensor([3.0, 4.0]).item()
+        with pytest.raises(ad.ShapeError):
+            ad.Tensor(np.zeros((0,))).item()
+
     def test_matmul_shape_error_names_both_shapes(self):
         a = ad.Tensor(np.zeros((2, 3)))
         b = ad.Tensor(np.zeros((4, 5)))
@@ -292,15 +299,61 @@ class TestBackwardContract:
         assert skipped.grad is None
         assert const.grad is None
 
-    @pytest.mark.parametrize("scatter_first", [False, True], ids=["dense_first", "scatter_first"])
-    def test_dense_and_repeated_scatter_sum(self, scatter_first):
+    @pytest.mark.parametrize("getitem_first", [False, True],
+                             ids=["dense_first", "getitem_first"])
+    def test_dense_and_repeated_getitem_sum(self, monkeypatch, getitem_first):
         x = ad.Tensor(np.zeros(4), requires_grad=True)
-        dense = np.array([1.0, 2.0, 3.0, 4.0])
-        scatter = (np.array([2, 2, 0]), np.array([10.0, 20.0, 30.0]))
-        grads = (scatter, dense) if scatter_first else (dense, scatter)
-        ad._make_node(np.zeros(()), (x, x), lambda g: grads).backward()
+        dense = ad.tsum(ad.mul(x, ad.Tensor([1.0, 2.0, 3.0, 4.0])))
+        picked = ad.tsum(ad.mul(x[np.array([2, 2, 0])], ad.Tensor([10.0, 20.0, 30.0])))
+        seen = []
+        accumulate = ad._accumulate
+
+        def spy(node, v):
+            if node is x:
+                seen.append(v.copy())
+            accumulate(node, v)
+
+        monkeypatch.setattr(ad, "_accumulate", spy)
+        ad.add(*((picked, dense) if getitem_first else (dense, picked))).backward()
         np.testing.assert_array_equal(x.grad, [31.0, 2.0, 33.0, 4.0])
-        np.testing.assert_array_equal(dense, [1.0, 2.0, 3.0, 4.0])
+        # The operand order sets which contribution reaches x first.
+        np.testing.assert_array_equal(seen[0], [30.0, 0.0, 30.0, 0.0] if getitem_first
+                                      else [1.0, 2.0, 3.0, 4.0])
+
+    def test_first_contribution_is_unchanged_by_a_second(self, monkeypatch):
+        # If a buffer kept the first array a closure returned, the second
+        # contribution would be added into that array too.
+        x = ad.Tensor(np.ones(3), requires_grad=True)
+        returned = []
+        accumulate = ad._accumulate
+
+        def spy(node, v):
+            if node is x:
+                returned.append((v, v.copy()))
+            accumulate(node, v)
+
+        monkeypatch.setattr(ad, "_accumulate", spy)
+        loss = ad.add(ad.tsum(ad.mul(x, ad.Tensor([1.0, 2.0, 3.0]))),
+                      ad.tsum(ad.mul(x[np.array([0, 0])], ad.Tensor([5.0, 7.0]))))
+        loss.backward()
+        assert len(returned) == 2
+        for v, at_arrival in returned:
+            np.testing.assert_array_equal(v, at_arrival)
+        np.testing.assert_array_equal(x.grad, [13.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("mode", [m.value for m in AblationMode])
+    def test_training_step_contributions_are_arrays(self, monkeypatch, mode):
+        model, batch = toy_setup(seed=3, ablation=mode)
+        kinds = set()
+        accumulate = ad._accumulate
+
+        def spy(node, v):
+            kinds.add(type(v))
+            accumulate(node, v)
+
+        monkeypatch.setattr(ad, "_accumulate", spy)
+        model.loss(batch, training=True).backward()
+        assert kinds == {np.ndarray}
 
     def test_float64_contribution_is_stored_in_node_dtype(self):
         x = ad.Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
@@ -312,26 +365,39 @@ class TestBackwardContract:
 
 
 class TestRowScatter:
-    """A ``getitem`` by one integer array on axis 0 (an embedding lookup)
-    scatters its gradient with a sorted row sum; ``np.add.at`` is the
-    oracle."""
+    """``getitem`` scatters its gradient back by one rule for every numpy
+    index, summing entries read more than once; ``np.add.at`` with the same
+    index is the oracle."""
 
-    @pytest.mark.parametrize("ids", [
-        np.array([[3, 0, 3], [5, 3, 0]]),  # repeated and unsorted
+    @pytest.mark.parametrize("idx", [
+        np.array([[3, 0, 3], [5, 3, 0]]),  # repeated and unsorted rows
         np.array([4, 1, 1, 6, 0, 4, 4]),
         np.array([2]),  # single id
         np.array([[1], [1]]),
         np.array([-1, 6, 0, -7]),  # negative ids wrap onto the same rows
         np.zeros((2, 0), dtype=np.int64),  # empty index
-    ], ids=["repeated_2d", "repeated_1d", "single", "single_repeated", "negative", "empty"])
-    def test_matches_add_at(self, rng, ids):
+        (np.array([1, 1, 6, 1]), np.array([4, 4, 0, -1])),  # repeated cells
+        np.arange(35).reshape(7, 5) % 3 == 0,
+        (slice(1, 6, 2), np.array([0, 4, 0])),
+        (np.array([3, 3]), None, slice(None)),
+        (Ellipsis, np.array([2, 2, -3])),
+    ], ids=["repeated_2d", "repeated_1d", "single", "single_repeated", "negative", "empty",
+            "tuple_repeated", "bool_mask", "slice_and_array", "none", "ellipsis"])
+    def test_matches_add_at(self, rng, idx):
         table = rng.standard_normal((7, 5))
-        r = rng.standard_normal(ids.shape + (5,))
+        r = rng.standard_normal(table[idx].shape)
         tt = ad.Tensor(table, requires_grad=True)
-        ad.tsum(ad.mul(tt[ids], ad.Tensor(r))).backward()
+        ad.tsum(ad.mul(tt[idx], ad.Tensor(r))).backward()
         expected = np.zeros_like(table)
-        np.add.at(expected, ids, r)
+        np.add.at(expected, idx, r)
         np.testing.assert_allclose(tt.grad, expected, rtol=1e-12, atol=1e-12)
+
+    def test_float32_table_keeps_a_float32_grad(self, rng):
+        table = ad.Tensor(rng.standard_normal((6, 4)).astype(np.float32), requires_grad=True)
+        picked = table[np.array([5, 1, 5, -1])]
+        ad.tsum(ad.mul(picked, 0.5)).backward()
+        assert table.grad.dtype == np.float32
+        np.testing.assert_array_equal(table.grad[5], np.full(4, 1.5, np.float32))
 
     def test_dense_then_row_scatter_sum(self, rng):
         table = rng.standard_normal((6, 4))

@@ -197,6 +197,14 @@ class TestEvalPredictScore:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_score_out_naming_a_directory(self, tmp_path, capsys):
+        pred_file = tmp_path / "p.txt"
+        pred_file.write_text("# intent:\tgreet\tgreet\nhi\tO\tO\n\n")
+        rc = main(["score", str(pred_file), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+
 
 class TestNonUtf8Input:
     """A file that is not UTF-8 exits 1 with a message naming it."""

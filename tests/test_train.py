@@ -25,7 +25,8 @@ from slu.model import JointModel
 from slu.optim import Adam, clip_global_norm
 from slu.train import DivergenceError, _improved, evaluate_model, predict_dataset, train
 
-from helpers import CORRUPT_CHECKPOINTS, assert_close, composed_kernels, graph_dtype_census
+from helpers import (CORRUPT_CHECKPOINTS, assert_close, composed_kernels, graph_dtype_census,
+                     rewrite_header)
 
 
 def tiny_config(**overrides):
@@ -465,6 +466,41 @@ class TestCheckpoint:
         else:
             with pytest.raises(ConfigError, match=f"{key} must be of type"):
                 Config.from_dict({key: value})
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("format_version", True, "version True"), ("format_version", 1.0, "version 1.0"),
+        ("epoch", 2.7, "'epoch' is 2.7"), ("epoch", True, "'epoch' is True"),
+        ("epoch", "5", "'epoch' is '5'"),
+    ], ids=["version_true", "version_float", "epoch_float", "epoch_true", "epoch_string"])
+    def test_header_integers_must_be_json_integers(self, tmp_path, key, value, message):
+        # True == 1 and 1.0 == 1 in Python; neither is a JSON integer.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._small_checkpoint())
+        path.write_bytes(rewrite_header(path.read_bytes(), lambda h: {**h, key: value}))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_record_offset_must_be_a_json_integer(self, tmp_path):
+        # An offset of true would read the blob from byte 1.
+        def edit(header):
+            header["params"][0]["offset"] = True
+            return header
+
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._small_checkpoint())
+        path.write_bytes(rewrite_header(path.read_bytes(), edit))
+        with pytest.raises(CheckpointError, match="record 0 has offset True"):
+            load_checkpoint(path)
+
+    def test_missing_epoch_means_zero(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        ckpt = self._small_checkpoint()
+        ckpt.epoch = 4
+        save_checkpoint(path, ckpt)
+        assert load_checkpoint(path).epoch == 4
+        path.write_bytes(rewrite_header(path.read_bytes(),
+                                        lambda h: {k: v for k, v in h.items() if k != "epoch"}))
+        assert load_checkpoint(path).epoch == 0
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
