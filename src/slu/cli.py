@@ -47,6 +47,14 @@ def _report_pairs(prefix: str, report: EvalReport) -> list[tuple[str, str]]:
     return [(f"{prefix}_{k}", v) for k, v in report.to_pairs()]
 
 
+def _prepare_output(path: str) -> None:
+    """Refuse an output path that is an existing directory and create the
+    missing parent directories, so a bad path fails before training."""
+    if Path(path).is_dir():
+        raise IsADirectoryError(f"{path}: is a directory")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _load_model(checkpoint_path: str):
     ckpt = load_checkpoint(checkpoint_path)
     return model_from_checkpoint(ckpt), ckpt
@@ -57,6 +65,9 @@ def cmd_train(args) -> int:
     config = build_config(args.config, overrides)
     if args.seed is not None:
         config = config.replace(seed=args.seed)
+    for path in (args.checkpoint, args.out):
+        if path != "-":
+            _prepare_output(path)
     splits = load_dataset(args.data, config.lowercase)
     vocab = build_vocab(splits["train"])
 
@@ -119,11 +130,15 @@ def cmd_predict(args) -> int:
 
 
 def read_prediction_file(path: str | Path) -> tuple[list, list]:
-    """Parse the predict output format back into (pred, gold) sentence lists."""
+    """Parse the predict output format back into (pred, gold) sentence lists.
+
+    Each block must hold exactly one intent line and at least one token
+    row, as ``predict`` writes it."""
     pred, gold = [], []
     cur_gold_tags: list[str] = []
     cur_pred_tags: list[str] = []
     cur_intents: tuple[str, str] | None = None
+    intent_lineno = 0
 
     def flush(lineno):
         nonlocal cur_intents, cur_gold_tags, cur_pred_tags
@@ -131,6 +146,8 @@ def read_prediction_file(path: str | Path) -> tuple[list, list]:
             return
         if cur_intents is None:
             raise DataError(f"{path} line {lineno}: sentence block without an intent line")
+        if not cur_gold_tags:
+            raise DataError(f"{path} line {intent_lineno}: intent line without token rows")
         gold.append((cur_intents[0], cur_gold_tags))
         pred.append((cur_intents[1], cur_pred_tags))
         cur_intents, cur_gold_tags, cur_pred_tags = None, [], []
@@ -147,7 +164,9 @@ def read_prediction_file(path: str | Path) -> tuple[list, list]:
         if parts[0] == "# intent:":
             if len(parts) != 3:
                 raise DataError(f"{path} line {lineno}: malformed intent line")
-            cur_intents = (parts[1], parts[2])
+            if cur_intents is not None:
+                raise DataError(f"{path} line {lineno}: second intent line in one block")
+            cur_intents, intent_lineno = (parts[1], parts[2]), lineno
         else:
             if len(parts) != 3:
                 raise DataError(

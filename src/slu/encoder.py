@@ -1,12 +1,14 @@
 """Shared utterance encoder: embedding lookup plus a bidirectional LSTM.
 
-Each direction has its own LSTM weights; the two hidden sequences are
-concatenated feature-wise, so the output width is ``hidden_dim`` with
-``hidden_dim // 2`` units per direction. The BiLSTM is one autodiff node
-with a hand-written backward through time: both directions step together
-in one numpy time loop, the node keeps each step's gate activations, cell
-states, ``tanh(c)`` and hidden states, and its backward forms the weight,
-bias and input gradients once over all steps after the reverse loop.
+Each direction has its own LSTM weights, stacked on a leading direction
+axis in one ``W`` and one ``b`` (gates i, f, o, g); the two hidden
+sequences are concatenated feature-wise, so the output width is
+``hidden_dim`` with ``hidden_dim // 2`` units per direction. The BiLSTM
+is one autodiff node with a hand-written backward through time: both
+directions step together in one numpy time loop, the node keeps each
+step's gate activations, cell states, ``tanh(c)`` and hidden states, and
+its backward forms the weight, bias and input gradients once over all
+steps after the reverse loop.
 
 Packed in and out: the embedding lookup reads only the real tokens, as
 ``(N, embed_dim)`` rows in the batch's ``RowMap`` order. The BiLSTM places
@@ -31,36 +33,16 @@ def uniform_init(rng: np.random.Generator, shape, bound: float, dtype=np.float32
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-class LSTMCell:
-    """Weights of one LSTM direction: one fused weight for all four gates.
-
-    ``W`` is (input_dim + hidden_dim, 4 * hidden_dim): input rows first,
-    then hidden rows. Gate layout along the output axis: input, forget,
-    output, candidate. No peepholes; initial hidden and cell states are
-    zero. ``Encoder.bilstm`` runs the recurrence.
-    """
-
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator,
-                 name: str, dtype=np.float32):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.name = name
-        bound = 1.0 / np.sqrt(hidden_dim)
-        self.W = Tensor(
-            uniform_init(rng, (input_dim + hidden_dim, 4 * hidden_dim), bound, dtype),
-            requires_grad=True,
-        )
-        self.b = Tensor(np.zeros(4 * hidden_dim, dtype=dtype), requires_grad=True)
-
-    def params(self) -> list[Param]:
-        return [
-            Param(f"{self.name}.W", self.W, decay=True),
-            Param(f"{self.name}.b", self.b, decay=False),
-        ]
-
-
 class Encoder:
-    """Embedding table plus forward/backward LSTM cells."""
+    """Embedding table plus one stacked weight pair for both LSTM directions.
+
+    ``W`` is (2, embed_dim + dh, 4 * dh) and ``b`` is (2, 4 * dh), with
+    ``dh = hidden_dim // 2``. Axis 0 is the direction (0 forward, 1
+    backward), so ``bilstm`` reads them as they are stored. In ``W`` the
+    input rows come before the hidden rows. Along the last axis the gates
+    are input, forget, output, candidate. No peepholes; initial hidden and
+    cell states are zero.
+    """
 
     def __init__(self, vocab_size: int, embed_dim: int, hidden_dim: int,
                  rng: np.random.Generator, pretrained: np.ndarray | None = None,
@@ -79,13 +61,15 @@ class Encoder:
         else:
             table = uniform_init(rng, (vocab_size, embed_dim), 0.1, dtype)
         self.embedding = Tensor(table, requires_grad=True)
-        half = hidden_dim // 2
-        self.fwd = LSTMCell(embed_dim, half, rng, "encoder.fwd", dtype)
-        self.bwd = LSTMCell(embed_dim, half, rng, "encoder.bwd", dtype)
+        dh = hidden_dim // 2
+        self.W = Tensor(uniform_init(rng, (2, embed_dim + dh, 4 * dh), 1.0 / np.sqrt(dh), dtype),
+                        requires_grad=True)
+        self.b = Tensor(np.zeros((2, 4 * dh), dtype=dtype), requires_grad=True)
 
     def params(self) -> list[Param]:
-        return [Param("encoder.embedding", self.embedding, decay=True)] \
-            + self.fwd.params() + self.bwd.params()
+        return [Param("encoder.embedding", self.embedding, decay=True),
+                Param("encoder.lstm.W", self.W, decay=True),
+                Param("encoder.lstm.b", self.b, decay=False)]
 
     def encode(self, token_ids: np.ndarray, rows: RowMap,
                dropout_p: float = 0.0, rng: np.random.Generator | None = None,
@@ -120,26 +104,23 @@ class Encoder:
         packed output gradient (pad steps get none) and gather the input
         gradient.
 
-        The recursion is one graph node with parents ``(embedded, fwd.W,
-        fwd.b, bwd.W, bwd.b)``, in plain numpy. The two directions' weights
-        are stacked on a leading axis; the input half of ``W`` goes over
-        every step in one GEMM before the loop, and each step is one
-        ``(2, B, dh) @ (2, dh, 4dh)`` product. The node keeps the gate
-        activations, cell states, ``tanh(c)`` and hidden states, time by
-        time in ``(2, n, B, ·)`` buffers. Its backward walks the steps in
-        reverse, one ``(2, B, 4dh) @ (2, 4dh, dh)`` product each, into a
-        buffer of gate gradients; both halves of each ``W`` gradient, the
-        bias gradient and the input gradient are then formed once over
-        all steps (the weight-gradient hoisting of Appleyard et al.,
-        arXiv 1604.01946).
+        The recursion is one graph node with parents ``(embedded, W, b)``,
+        in plain numpy. The input half of ``W`` goes over every step in one
+        GEMM before the loop, and each step is one ``(2, B, dh) @ (2, dh,
+        4dh)`` product. The node keeps the gate activations, cell states,
+        ``tanh(c)`` and hidden states, time by time in ``(2, n, B, ·)``
+        buffers. Its backward walks the steps in reverse, one ``(2, B, 4dh)
+        @ (2, 4dh, dh)`` product each, into a buffer of gate gradients; both
+        halves of the ``W`` gradient, the bias gradient and the input
+        gradient are then formed once over all steps (the weight-gradient
+        hoisting of Appleyard et al., arXiv 1604.01946).
         """
         B, n = rows.mask.shape
         e = embedded.shape[1]
         dh = self.hidden_dim // 2
         sent, t_fwd = np.divmod(rows.rows, n)  # each packed row's (b, t)
         t_bwd = rows.lengths[sent] - 1 - t_fwd  # its step in the backward stream
-        W = np.stack([self.fwd.W.data, self.bwd.W.data])  # (2, e + dh, 4dh)
-        b = np.stack([self.fwd.b.data, self.bwd.b.data])  # (2, 4dh)
+        W, b = self.W.data, self.b.data  # (2, e + dh, 4dh), (2, 4dh)
         x2 = np.zeros((2, n, B, e), embedded.dtype)  # time-major inputs, zero at pads
         x2[0, t_fwd, sent] = x2[1, t_bwd, sent] = embedded.data
         x2 = x2.reshape(2, n * B, e)
@@ -205,7 +186,6 @@ class Encoder:
             if embedded.requires_grad:
                 dx2 = (dA2 @ np.swapaxes(W[:, :e], 1, 2)).reshape(2, n, B, e)
                 dx = dx2[0, t_fwd, sent] + dx2[1, t_bwd, sent]
-            return dx, dW[0], db[0], dW[1], db[1]
+            return dx, dW, db
 
-        return ad._make_node(out, (embedded, self.fwd.W, self.fwd.b, self.bwd.W, self.bwd.b),
-                             backward)
+        return ad._make_node(out, (embedded, self.W, self.b), backward)

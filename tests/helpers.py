@@ -255,15 +255,16 @@ def stack(tensors: Iterable[ad.Tensor], axis: int = 0) -> ad.Tensor:
     return ad._make_node(data, parts, backward)
 
 
-def lstm_oracle_run(cell, embedded, mask: np.ndarray, reverse: bool):
+def lstm_oracle_run(W, b, embedded, mask: np.ndarray, reverse: bool):
     """One LSTM direction stepped position by position, masked per step.
 
-    Reference for ``Encoder.bilstm``: the state only advances where the
-    mask is True, the backward direction walks from the last position to
-    the first, and emitted vectors at masked positions are zero.
+    Reference for ``Encoder.bilstm``: ``W`` (e + dh, 4dh) and ``b`` (4dh)
+    are one direction's weights, the state only advances where the mask is
+    True, the backward direction walks from the last position to the
+    first, and emitted vectors at masked positions are zero.
     """
     B, n, _ = embedded.data.shape
-    dh = cell.hidden_dim
+    dh = b.shape[-1] // 4
     dtype = embedded.data.dtype
     h = ad.Tensor(np.zeros((B, dh), dtype=dtype))
     c = ad.Tensor(np.zeros((B, dh), dtype=dtype))
@@ -273,7 +274,7 @@ def lstm_oracle_run(cell, embedded, mask: np.ndarray, reverse: bool):
     for t in order:
         m_t = mask[:, t][:, None]
         x_h = ad.concat([embedded[:, t], h], axis=-1)
-        gates = ad.add(ad.matmul(x_h, cell.W), cell.b)
+        gates = ad.add(ad.matmul(x_h, W), b)
         i = sigmoid(gates[:, :dh])
         f = sigmoid(gates[:, dh:2 * dh])
         o = sigmoid(gates[:, 2 * dh:3 * dh])
@@ -289,11 +290,12 @@ def lstm_oracle_run(cell, embedded, mask: np.ndarray, reverse: bool):
 def bilstm_oracle(enc, packed, rows):
     """Both directions of ``enc`` run apart by ``lstm_oracle_run`` on the
     packed inputs scattered into the padded layout, then the real rows
-    gathered in ``rows`` order."""
+    gathered in ``rows`` order. Each direction reads its slice
+    ``enc.W[k]``, ``enc.b[k]``, so its gradients reach the stacked tensors."""
     mask = rows.mask
     embedded = scatter(packed, rows)
-    padded = ad.concat([lstm_oracle_run(enc.fwd, embedded, mask, reverse=False),
-                        lstm_oracle_run(enc.bwd, embedded, mask, reverse=True)], axis=-1)
+    padded = ad.concat([lstm_oracle_run(enc.W[k], enc.b[k], embedded, mask, reverse=bool(k))
+                        for k in (0, 1)], axis=-1)
     return gather(padded, rows)
 
 

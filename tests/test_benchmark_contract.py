@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from slu import autodiff as ad
+from slu.config import AblationMode
 from slu.data import Utterance, make_batches
 from slu.gradcheck import toy_setup
 
@@ -44,3 +45,22 @@ def test_one_sentence_forward_gives_one_emission_matrix():
     assert logits.shape == (1, vocab.n_intents)
     assert emissions.shape == (1, 3, vocab.n_slots)
     assert np.isfinite(emissions.data[0]).all()
+
+
+# Suffixes of the parameters Adam does not decay: biases and layer-norm affines.
+NO_DECAY = (".b", ".b1", ".b2", ".gamma", ".beta")
+
+
+@pytest.mark.parametrize("mode", list(AblationMode), ids=lambda m: m.value)
+def test_parameter_inventory_read_by_the_reference(mode):
+    # The float64 Adam reference takes ``[p.decay for p in params]`` and the
+    # Viterbi reference reads ``crf.T`` in the (S+2, S+2) layout; a mistake in
+    # either would fail only the benchmark's output check.
+    model, _ = toy_setup(seed=0, ablation=mode.value)
+    params = model.params()
+    names = [p.name for p in params]
+    assert len(set(names)) == len(names), names
+    for p in params:
+        assert p.decay == (not p.name.endswith(NO_DECAY)), p.name
+    S = model.vocab.n_slots
+    assert model.crf.T.shape == (S + 2, S + 2)

@@ -83,6 +83,26 @@ class TestTrain:
         assert rc == 1
         assert "no_such_field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--out"])
+    def test_output_naming_a_directory_fails_before_training(self, tmp_path, capsys, flag):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        paths = {"--checkpoint": str(tmp_path / "x.ckpt"), "--out": str(tmp_path / "r.txt"),
+                 flag: str(taken)}
+        rc = main(["train", "--data", str(SAMPLE), *FAST_ARGS,
+                   *(arg for item in paths.items() for arg in item)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert f"error: {taken}: is a directory" in captured.err
+        assert "epoch 0" not in captured.out
+
+    def test_missing_output_parents_are_created(self, tmp_path):
+        ckpt, out = tmp_path / "a" / "x.ckpt", tmp_path / "b" / "c" / "r.txt"
+        rc = main(["train", "--data", str(tmp_path / "nope"),
+                   "--checkpoint", str(ckpt), "--out", str(out), *FAST_ARGS])
+        assert rc == 1  # no data; the parents exist before it is read
+        assert ckpt.parent.is_dir() and out.parent.is_dir()
+
     def test_missing_data_exits_nonzero(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"),
                    "--checkpoint", str(tmp_path / "x.ckpt"),
@@ -266,6 +286,28 @@ class TestPredictionFileParser:
         f = tmp_path / "p.txt"
         f.write_text("x\tO\tO\n\n")
         with pytest.raises(DataError, match="intent"):
+            read_prediction_file(f)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("# intent:\tA\tA\n# intent:\tB\tB\nx\tO\tO\n\n", 2),
+        ("# intent:\tA\tA\nx\tO\tO\n# intent:\tB\tB\ny\tO\tO\n\n", 3),
+    ], ids=["adjacent", "after_rows"])
+    def test_second_intent_line_in_a_block(self, tmp_path, text, lineno):
+        # Read leniently, the first sentence would be dropped unseen.
+        f = tmp_path / "p.txt"
+        f.write_text(text)
+        with pytest.raises(DataError, match=rf"p\.txt line {lineno}: second intent line"):
+            read_prediction_file(f)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("# intent:\tA\tA\n\n# intent:\tB\tB\nx\tO\tO\n\n", 1),
+        ("# intent:\tA\tA\nx\tO\tO\n\n# intent:\tB\tB\n", 4),
+    ], ids=["blank_after_intent", "end_of_file"])
+    def test_block_without_token_rows(self, tmp_path, text, lineno):
+        # Read leniently, a tagless sentence would count toward the scores.
+        f = tmp_path / "p.txt"
+        f.write_text(text)
+        with pytest.raises(DataError, match=rf"p\.txt line {lineno}: intent line without token"):
             read_prediction_file(f)
 
     def test_no_trailing_blank_line(self, tmp_path):

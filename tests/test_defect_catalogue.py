@@ -2,21 +2,57 @@
 
 Each entry plants one defect the project has already met, as a
 ``monkeypatch`` that swaps one function in ``slu`` for a defective copy,
-and names the Tier-1 check that must catch it. The test runs the check on
-the real code, where it must pass, then with the defect, where it must
-fail. This is mutation testing (DeMillo, Lipton & Sayward 1978) limited
-to known defects. A change that rewrites a mutated function updates its
-mutant here in the same change; a mutant is never dropped to make a check
-pass.
+and names the Tier-1 check that must catch it. Most copies are the
+function's own source with a line or two edited (``edit_source``); their
+code replaces the original's in place, so a test that imported the
+function by name runs the mutant too. The test runs the check on the
+real code, where it must pass, then with the defect, where it must fail.
+This is mutation testing (DeMillo, Lipton & Sayward 1978) limited to
+known defects. A change that rewrites a mutated function updates its
+mutant here in the same change; a mutant is never dropped to make a
+check pass.
 """
+
+import __future__
+import inspect
+import re
+import tempfile
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slu import autodiff as ad
+from slu import checkpoint, interaction, optim
+from slu.config import AblationMode
+from slu.data import RowMap
+from slu.decoders import CrfHead
+from slu.encoder import Encoder
 
+import test_acceptance
 import test_autodiff
+import test_data
+import test_decoders
+import test_encoder
 import test_gradcheck
+import test_interaction
+import test_optim
+import test_train
+
+
+def edit_source(monkeypatch, func, edits: dict[str, str]):
+    """Swap ``func``'s code for that of its own source with every key of
+    ``edits`` replaced by its value, all at once. Each key must occur in
+    the source exactly once."""
+    src = textwrap.dedent(inspect.getsource(func))
+    for old in edits:
+        assert src.count(old) == 1, old
+    src = re.sub("|".join(map(re.escape, edits)), lambda m: edits[m.group()], src)
+    namespace = dict(func.__globals__)
+    exec(compile(src, inspect.getsourcefile(func), "exec",
+                 flags=__future__.annotations.compiler_flag), namespace)
+    monkeypatch.setattr(func, "__code__", namespace[func.__name__].__code__)
 
 
 def getitem_assigns(monkeypatch):
@@ -84,6 +120,69 @@ def matmul_weight_gradient_scaled(monkeypatch):
     monkeypatch.setattr(ad, "matmul", scaled)
 
 
+def bilstm_drops_dc_next(monkeypatch):
+    """``Encoder.bilstm``'s backward drops ``dc_next``: no cell-state
+    gradient flows from a step to the one before it."""
+    edit_source(monkeypatch, Encoder.bilstm, {"dc += dc_next": "pass"})
+
+
+def attention_backward_unscaled(monkeypatch):
+    """``multi_head_attention``'s backward leaves out ``* scale``."""
+    edit_source(monkeypatch, interaction.multi_head_attention, {"dA *= scale": "pass"})
+
+
+def rowmap_edges_swapped(monkeypatch):
+    """``RowMap`` stores its ``left`` and ``right`` edge masks swapped."""
+    edit_source(monkeypatch, RowMap.__init__, {
+        "self.left, self.right = left, right": "self.left, self.right = right, left"})
+
+
+def adam_without_bias_correction(monkeypatch):
+    """``Adam.step`` divides neither moment by its bias correction."""
+    edit_source(monkeypatch, optim.Adam.step, {"bc1 = 1.0 - self.beta1 ** t": "bc1 = 1.0",
+                                               "bc2 = 1.0 - self.beta2 ** t": "bc2 = 1.0"})
+
+
+def clipping_skipped(monkeypatch):
+    """``clip_global_norm`` reports the norm but never scales a gradient."""
+    edit_source(monkeypatch, optim.clip_global_norm, {"p.tensor.grad *= ratio": "pass"})
+
+
+def viterbi_greedy(monkeypatch):
+    """``CrfHead.viterbi`` takes each token's best emission and ignores
+    the transitions."""
+
+    def greedy(self, emissions, mask):
+        lengths = RowMap(mask).lengths
+        return [np.asarray(emissions)[b, :n].argmax(axis=-1).tolist()
+                for b, n in enumerate(lengths)]
+
+    monkeypatch.setattr(CrfHead, "viterbi", greedy)
+
+
+def checkpoint_load_swaps_arrays(monkeypatch):
+    """``load_checkpoint`` hands back two same-shape arrays under each
+    other's names: the first layer's slot query and key projections."""
+    q, k = 'params["interact.0.q_s"]', 'params["interact.0.k_s"]'
+    edit_source(monkeypatch, checkpoint.load_checkpoint, {
+        "return Checkpoint(": f"{q}, {k} = {k}, {q}; return Checkpoint("})
+
+
+def crf_backward_ends_swapped(monkeypatch):
+    """``CrfHead.log_partition``'s backward writes the begin-row gradient
+    into the end column and the end-column gradient into the begin row."""
+    begin, end = "dT[self.begin, :S] = G.sum(axis=0)", "dT[:S, self.end] = G.sum(axis=0)"
+    edit_source(monkeypatch, CrfHead.log_partition, {begin: end, end: begin})
+
+
+def attention_output_float64(monkeypatch):
+    """``multi_head_attention`` returns float64 from float32 inputs, as its
+    float64 scale once made it do."""
+    edit_source(monkeypatch, interaction.multi_head_attention, {
+        "ad._make_node(out, (Q, K, V), backward)":
+            "ad._make_node(out.astype(np.float64), (Q, K, V), backward)"})
+
+
 def getitem_matches_add_at():
     for idx in (np.array([4, 1, 1, 6, 0, 4, 4]), (np.array([1, 1, 6]), np.array([4, 4, 0]))):
         test_autodiff.TestRowScatter().test_matches_add_at(np.random.default_rng(0), idx)
@@ -102,11 +201,59 @@ def model_gradcheck():
     assert result.passed, result.failures
 
 
+def bilstm_matches_oracle():
+    test_encoder.TestOracle().test_outputs_and_gradients_match()
+
+
+def attention_gradients_match_fd():
+    test_interaction.TestMultiHeadAttention().test_gradients_match_fd_with_ragged_keys(
+        np.random.default_rng(12345))
+
+
+def rowmap_layout():
+    test_data.TestRowMap().test_layout_of_a_ragged_batch()
+
+
+def adam_matches_oracle():
+    test_optim.TestAdam().test_first_step_moves_by_lr()
+    test_optim.TestInPlaceAdam().test_three_steps_bit_identical_to_allocating_step(0.0)
+
+
+def clipping_scales_gradients():
+    test_optim.TestClipping().test_norm_reported_and_grads_scaled()
+
+
+def viterbi_matches_brute_force():
+    test_acceptance.test_c02_crf_oracle_equivalence()
+
+
+def checkpoint_round_trip():
+    with tempfile.TemporaryDirectory() as tmp:
+        test_train.TestCheckpoint().test_round_trip_is_bit_exact(Path(tmp))
+
+
+def fused_log_partition_matches_composed():
+    test_decoders.TestFusedLogPartition().test_float64_ragged_batch(np.random.default_rng(12345))
+
+
+def float32_graph_stays_float32():
+    test_train.TestDtypeContract().test_float32_training_graph_is_float32(AblationMode.FULL)
+
+
 CATALOGUE = {
     "getitem_assigns": (getitem_assigns, getitem_matches_add_at),
     "maxpool_routes_every_tie": (maxpool_routes_every_tie, maxpool_tie_routes_to_earliest),
     "accumulate_without_copy": (accumulate_without_copy, shared_first_gradients_do_not_alias),
     "matmul_weight_gradient_scaled": (matmul_weight_gradient_scaled, model_gradcheck),
+    "bilstm_drops_dc_next": (bilstm_drops_dc_next, bilstm_matches_oracle),
+    "attention_backward_unscaled": (attention_backward_unscaled, attention_gradients_match_fd),
+    "rowmap_edges_swapped": (rowmap_edges_swapped, rowmap_layout),
+    "adam_without_bias_correction": (adam_without_bias_correction, adam_matches_oracle),
+    "clipping_skipped": (clipping_skipped, clipping_scales_gradients),
+    "viterbi_greedy": (viterbi_greedy, viterbi_matches_brute_force),
+    "checkpoint_load_swaps_arrays": (checkpoint_load_swaps_arrays, checkpoint_round_trip),
+    "crf_backward_ends_swapped": (crf_backward_ends_swapped, fused_log_partition_matches_composed),
+    "attention_output_float64": (attention_output_float64, float32_graph_stays_float32),
 }
 
 

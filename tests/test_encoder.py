@@ -90,9 +90,8 @@ class TestMasking:
 
     def test_zero_weights_give_zero_states(self):
         enc = make_encoder()
-        for cell in (enc.fwd, enc.bwd):
-            cell.W.data[:] = 0.0
-            cell.b.data[:] = 0.0
+        enc.W.data[:] = 0.0
+        enc.b.data[:] = 0.0
         H = enc.encode(np.array([[1, 2, 3]]), RowMap(np.ones((1, 3), bool))).data
         np.testing.assert_array_equal(H, 0.0)
 
@@ -141,7 +140,7 @@ class TestOracle:
         r = rng.standard_normal((sum(lengths), 8)).astype(dtype)
         out = fn(enc, x, lengths_rows(lengths, n))
         ad.tsum(ad.mul(out, ad.Tensor(r))).backward()
-        return out, [t.grad for t in (x, enc.fwd.W, enc.fwd.b, enc.bwd.W, enc.bwd.b)]
+        return out, [t.grad for t in (x, enc.W, enc.b)]
 
     def check(self, case, dtype, out_tol, grad_tol):
         lengths = self.cases[case]
@@ -165,9 +164,9 @@ class TestOracle:
 
 
 class TestOneNode:
-    """``bilstm`` is a single graph node over the input and the four weights."""
+    """``bilstm`` is a single graph node over the input and the stacked weights."""
 
-    def test_one_node_five_parents_no_scatter(self, monkeypatch):
+    def test_one_node_three_parents_no_scatter(self, monkeypatch):
         class NoAddAt:  # np.add whose unbuffered scatter raises
             def __getattr__(self, name):
                 return getattr(np.add, name)
@@ -189,10 +188,10 @@ class TestOneNode:
         enc = make_encoder()
         x = ad.Tensor(np.random.default_rng(1).standard_normal((7, 8)), requires_grad=True)
         out = enc.bilstm(x, lengths_rows([4, 2, 1], 4))
-        assert out._parents == (x, enc.fwd.W, enc.fwd.b, enc.bwd.W, enc.bwd.b)
+        assert out._parents == (x, enc.W, enc.b)
         assert all(p._parents == () for p in out._parents)
         ad.tsum(out).backward()
-        assert all(p.grad is not None for p in (x, enc.fwd.W, enc.fwd.b, enc.bwd.W, enc.bwd.b))
+        assert all(p.grad is not None for p in (x, enc.W, enc.b))
 
     def test_no_grad_gives_a_plain_tensor(self):
         enc = make_encoder()
@@ -207,8 +206,8 @@ class TestOneNode:
 class TestDirectionSymmetry:
     def test_reversal_swaps_channels_when_cells_tied(self):
         enc = make_encoder()
-        enc.bwd.W.data = enc.fwd.W.data.copy()
-        enc.bwd.b.data = enc.fwd.b.data.copy()
+        enc.W.data[1] = enc.W.data[0]
+        enc.b.data[1] = enc.b.data[0]
 
         ids = np.array([[2, 5, 7, 3]])
         rows = RowMap(np.ones((1, 4), bool))
@@ -233,10 +232,8 @@ class TestGradients:
 
         for name, tensor in [
             ("embedding", enc.embedding),
-            ("fwd.W", enc.fwd.W),
-            ("fwd.b", enc.fwd.b),
-            ("bwd.W", enc.bwd.W),
-            ("bwd.b", enc.bwd.b),
+            ("lstm.W", enc.W),
+            ("lstm.b", enc.b),
         ]:
             def f(arr, tensor=tensor):
                 saved = tensor.data

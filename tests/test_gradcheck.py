@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from slu import autodiff as ad
+from slu import gradcheck
 from slu.gradcheck import check_model, toy_setup
+
+KINK_SEED = 1219
 
 
 def sampled_check(seed: int):
@@ -14,15 +17,18 @@ def sampled_check(seed: int):
                        rng=np.random.default_rng([seed, 5]))
 
 
-def test_correct_gradient_near_a_relu_kink_passes():
-    # Seed 912 samples encoder.bwd.b[13], where a window-FFN relu kink lies
-    # within 1e-5 of the point: the 1e-3 and 1e-5 central differences both
-    # straddle it, the 1e-7 one does not.
-    result = sampled_check(912)
+def test_correct_gradient_near_a_relu_kink_passes(monkeypatch):
+    # Seed 1219 samples encoder.lstm.b[12], where a window-FFN relu kink
+    # lies within 1e-5 of the point: the 1e-3 and 1e-5 central differences
+    # both straddle it, the 1e-7 one does not. Without that last retry the
+    # same check fails, so the seed still exercises the retry.
+    result = sampled_check(KINK_SEED)
     assert result.passed, result.failures
+    monkeypatch.setattr(gradcheck, "RETRY_STEPS", (1e-5,))
+    assert not sampled_check(KINK_SEED).passed
 
 
-@pytest.mark.parametrize("seed", [0, 912])
+@pytest.mark.parametrize("seed", [0, KINK_SEED])
 def test_scaled_matmul_weight_gradient_fails(monkeypatch, seed):
     matmul = ad.matmul
 
