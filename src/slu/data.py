@@ -38,8 +38,10 @@ class Vocab:
 
     Word ids 0 and 1 are reserved for padding and unknown tokens; slot and
     intent tables have no reserved entries. Unknown words encode to the
-    unknown id; unknown slot or intent labels are a hard error because they
-    cannot occur in a well-formed split.
+    unknown id. Encoding an unknown slot or intent label is a hard error:
+    a model cannot be trained on a label it has no output for. Decoding
+    never encodes gold labels (see ``make_batches``), so a held-out split
+    may hold labels the training split lacks; each is scored as a miss.
     """
 
     id2word: list[str]
@@ -95,11 +97,11 @@ class Vocab:
 
 @dataclass
 class Batch:
-    token_ids: np.ndarray   # int (B, n_max)
-    mask: np.ndarray        # bool (B, n_max)
-    slot_ids: np.ndarray    # int (B, n_max), 0 at padded positions
-    intent_ids: np.ndarray  # int (B,)
-    lengths: np.ndarray     # int (B,)
+    token_ids: np.ndarray          # int (B, n_max)
+    mask: np.ndarray               # bool (B, n_max)
+    slot_ids: np.ndarray | None    # int (B, n_max), 0 at pads; None to decode
+    intent_ids: np.ndarray | None  # int (B,); None to decode
+    lengths: np.ndarray            # int (B,)
 
     @property
     def size(self) -> int:
@@ -289,9 +291,13 @@ def load_pretrained_embeddings(
 
 def make_batches(
     data: list[Utterance], vocab: Vocab, batch_size: int,
-    shuffle_seed: int | None = None,
+    shuffle_seed: int | None = None, labels: bool = True,
 ) -> list[Batch]:
-    """Encode and pad to per-batch max length, optionally seeded-shuffled."""
+    """Encode and pad to per-batch max length, optionally seeded-shuffled.
+
+    With ``labels=False`` the batches are for decoding: the gold slot tags
+    and intents are not looked up, and ``slot_ids`` and ``intent_ids`` are
+    None."""
     if batch_size < 1:
         raise DataError(f"batch_size must be at least 1, got {batch_size}")
     order = np.arange(len(data))
@@ -305,14 +311,15 @@ def make_batches(
         n_max = int(lengths.max())
         B = len(members)
         token_ids = np.zeros((B, n_max), dtype=np.int64)
-        slot_ids = np.zeros((B, n_max), dtype=np.int64)
         mask = np.zeros((B, n_max), dtype=bool)
-        intent_ids = np.zeros(B, dtype=np.int64)
+        slot_ids = np.zeros((B, n_max), dtype=np.int64) if labels else None
+        intent_ids = np.zeros(B, dtype=np.int64) if labels else None
         for b, utt in enumerate(members):
             n = len(utt.tokens)
             token_ids[b, :n] = vocab.encode_tokens(utt.tokens)
-            slot_ids[b, :n] = vocab.encode_slots(utt.slots)
             mask[b, :n] = True
-            intent_ids[b] = vocab.encode_intent(utt.intent)
+            if labels:
+                slot_ids[b, :n] = vocab.encode_slots(utt.slots)
+                intent_ids[b] = vocab.encode_intent(utt.intent)
         batches.append(Batch(token_ids, mask, slot_ids, intent_ids, lengths))
     return batches

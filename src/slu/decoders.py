@@ -187,38 +187,76 @@ class CrfHead:
     def viterbi(self, emissions: np.ndarray, mask: np.ndarray) -> list[list[int]]:
         """Best-scoring tag path per sequence (max-product with backpointers).
 
-        The transition block is transposed once into a (to, from) layout,
-        so each step's add and ``argmax`` run along the contiguous axis of
-        one reused (S, S) buffer. Score ties at a backpointer resolve to
-        the lowest label index.
+        All sentences step together, one time step at a time, and step t
+        touches only the sentences longer than t. A ``from`` state more
+        than ``span = max(T[:S, :S]) - min(T[:S, :S])`` below its step's
+        best state cannot win any ``to`` state, so a sentence keeps only
+        its states at or above ``best - (span + margin)``. The rounding
+        margin ``8 * eps * (|best| + max|T[:S, :S]| + 1)`` makes sure that
+        a pruned state could not have tied after float rounding.
+
+        The kept states run in ascending index order, one column of a
+        (b, K) index at a time, and a candidate replaces the running best
+        only when strictly greater. A sentence that keeps more than 8
+        states, or whose best score is not finite, takes the full
+        (to, from) add and ``argmax`` at that step instead. Both kinds add
+        the same floats as a per-sentence loop, so scores are bit-equal,
+        and score ties at a backpointer resolve to the lowest label index.
+        Backpointers sit in one (n, B, S) block that holds the identity at
+        a sentence's pad steps, so one backtrace serves every sentence.
         """
         emissions = np.asarray(emissions)
         lengths = RowMap(mask).lengths
         S = self.num_slots
         T = self.T.data
-        trans = np.ascontiguousarray(T[:S, :S].T)  # (to, from)
-        start = T[self.begin, :S]
-        end = T[:S, self.end]
-        cand = np.empty((S, S), dtype=np.result_type(emissions, T))
-        to = np.arange(S)
-        paths: list[list[int]] = []
-        for b in range(emissions.shape[0]):
-            length = int(lengths[b])
-            em = emissions[b, :length]
-            delta = start + em[0]
-            backptr = np.zeros((length, S), dtype=np.intp)
-            for t in range(1, length):
-                np.add(trans, delta, out=cand)
-                cand.argmax(axis=1, out=backptr[t])
-                delta = cand[to, backptr[t]] + em[t]
-            delta = delta + end
-            best = int(delta.argmax())
-            path = [best]
-            for t in range(length - 1, 0, -1):
-                best = int(backptr[t, best])
-                path.append(best)
-            paths.append(path[::-1])
-        return paths
+        trans = T[:S, :S]  # (from, to)
+        trans_t = np.ascontiguousarray(trans.T)  # (to, from)
+        span = trans.max() - trans.min()
+        eps = np.finfo(np.result_type(emissions, T)).eps
+        top = np.abs(trans).max() + 1
+        delta = T[self.begin, :S] + emissions[:, 0]
+        steps = int(lengths.max())
+        back = np.tile(np.arange(S), (steps, lengths.size, 1))
+        with np.errstate(invalid="ignore"):  # inf - inf at a non-finite best
+            for t in range(1, steps):
+                live = np.flatnonzero(lengths > t)
+                d = delta[live]
+                best = d.max(axis=1)
+                floor = best - (span + 8 * eps * (np.abs(best) + top))
+                keep = d >= floor[:, None]
+                kept = keep.sum(axis=1)
+                # Rows that take the full step keep one placeholder state here.
+                full = np.flatnonzero((kept > 8) | ~np.isfinite(floor))
+                keep[full] = False
+                keep[full, 0] = True
+                kept[full] = 1
+                # (b, K) kept states per row, ascending, padded with the first
+                rows, cols = np.nonzero(keep)
+                first = np.cumsum(kept) - kept
+                idx = np.repeat(cols[first][:, None], kept.max(), axis=1)
+                idx[rows, np.arange(rows.size) - first[rows]] = cols
+                r = np.arange(live.size)
+                val = d[r, idx[:, 0]][:, None] + trans[idx[:, 0]]
+                bp = np.repeat(idx[:, :1], S, axis=1)
+                for j in idx.T[1:]:
+                    v = d[r, j][:, None] + trans[j]
+                    won = v > val
+                    np.copyto(val, v, where=won)
+                    np.copyto(bp, j[:, None], where=won)
+                if full.size:
+                    cand = trans_t + d[full, None, :]  # (rows, to, from)
+                    bp[full] = cand.argmax(axis=2)
+                    val[full] = np.take_along_axis(cand, bp[full, :, None], axis=2)[:, :, 0]
+                delta[live] = val + emissions[live, t]
+                back[t, live] = bp
+        cur = (delta + T[:S, self.end]).argmax(axis=1)
+        path = np.empty((lengths.size, steps), dtype=np.intp)
+        path[:, -1] = cur
+        every = np.arange(lengths.size)
+        for t in range(steps - 1, 0, -1):
+            cur = back[t, every, cur]
+            path[:, t - 1] = cur
+        return [p[:n].tolist() for p, n in zip(path, lengths)]
 
 
 def joint_loss(intent_logits: Tensor, intent_gold: np.ndarray,

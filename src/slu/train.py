@@ -151,11 +151,12 @@ def predict_dataset(model: JointModel, data: list[Utterance]
     """Decode a dataset; the decodes come back in file order.
 
     Batches are formed from the sentences sorted by length, so each batch
-    pads little; padding does not change a decode.
+    pads little; padding does not change a decode. The gold labels are not
+    read, so a gold label the model never saw is no error here.
     """
     order = sorted(range(len(data)), key=lambda i: len(data[i].tokens))
     batches = make_batches([data[i] for i in order], model.vocab,
-                           model.config.batch_size)
+                           model.config.batch_size, labels=False)
     out: list[tuple[str, list[str]]] = [None] * len(data)
     decodes = (pred for batch in batches for pred in model.predict_batch(batch))
     for i, pred in zip(order, decodes):

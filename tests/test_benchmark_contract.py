@@ -14,7 +14,10 @@ import pytest
 from slu import autodiff as ad
 from slu.config import AblationMode
 from slu.data import Utterance, make_batches
+from slu.decoders import CrfHead
 from slu.gradcheck import toy_setup
+from slu.model import JointModel
+from slu.train import predict_dataset
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
 
@@ -45,6 +48,43 @@ def test_one_sentence_forward_gives_one_emission_matrix():
     assert logits.shape == (1, vocab.n_intents)
     assert emissions.shape == (1, 3, vocab.n_slots)
     assert np.isfinite(emissions.data[0]).all()
+
+
+def test_predict_dataset_calls_the_instance_predict_batch_once_per_batch():
+    # The predict workload times each batch by setting ``predict_batch`` on
+    # the model instance and reading these batch fields; if decoding went
+    # around it, the run would record no operation and fail.
+    model, _ = toy_setup(seed=0)
+    model.config = model.config.replace(batch_size=2)
+    words = model.vocab.id2word[2:]
+    data = [Utterance(words[:n], ["O"] * n, "x") for n in (3, 1, 5, 2, 4)]
+    calls = []
+
+    def timed(batch):
+        calls.append((batch.size, batch.lengths.copy(), batch.token_ids.shape,
+                      batch.mask.copy()))
+        return JointModel.predict_batch(model, batch)
+
+    model.predict_batch = timed
+    preds = predict_dataset(model, data)
+    del model.predict_batch
+    assert len(calls) == 3
+    assert sum(size for size, *_ in calls) == len(data)
+    for size, lengths, shape, mask in calls:
+        assert shape == mask.shape == (size, lengths.max())
+        np.testing.assert_array_equal(mask.sum(axis=1), lengths)
+    assert preds == predict_dataset(model, data)
+
+
+def test_viterbi_returns_lists_of_python_ints_one_per_token():
+    rng = np.random.default_rng(0)
+    crf = CrfHead(4, 6, rng, dtype=np.float32)
+    lengths = [4, 1, 2]
+    mask = np.arange(5)[None, :] < np.array(lengths)[:, None]
+    paths = crf.viterbi(rng.standard_normal(mask.shape + (6,)).astype(np.float32), mask)
+    assert type(paths) is list and [len(path) for path in paths] == lengths
+    assert all(type(path) is list for path in paths)
+    assert all(type(tag) is int for path in paths for tag in path)
 
 
 # Suffixes of the parameters Adam does not decay: biases and layer-norm affines.

@@ -15,6 +15,7 @@ import pytest
 from slu.cli import main, read_prediction_file
 from slu.config import Config, config_hash
 from slu.data import DataError
+from slu.metrics import evaluate
 
 from helpers import CORRUPT_CHECKPOINTS, rewrite_header
 
@@ -315,6 +316,55 @@ class TestPredictionFileParser:
         f.write_text("# intent:\tA\tA\nx\tO\tO")
         pred, gold = read_prediction_file(f)
         assert len(pred) == len(gold) == 1
+
+
+class TestUnseenTestLabels:
+    """A test split may hold gold labels the training split lacks, as the
+    real ATIS test split does. Decoding never looks them up: ``train``,
+    ``predict`` and ``eval`` all succeed, and each such label is a miss."""
+
+    @pytest.fixture(params=["intent", "slot"])
+    def corpus(self, request, tmp_path):
+        root = tmp_path / "data"
+        shutil.copytree(SAMPLE, root)
+        if request.param == "intent":
+            path, old, new = root / "test" / "label", "atis_flight", "atis_day_name"
+        else:
+            path, old, new = (root / "test" / "seq.out", "B-depart_time.period_of_day",
+                              "B-arrive_time.period_of_day")
+        lines = path.read_text().splitlines()
+        assert lines[0].split()[0] == old
+        lines[0] = lines[0].replace(old, new, 1)
+        path.write_text("\n".join(lines) + "\n")
+        return root, request.param, new
+
+    def test_train_predict_and_eval_count_the_label_wrong(self, corpus, tmp_path):
+        root, kind, label = corpus
+        ckpt, report = tmp_path / "model.ckpt", tmp_path / "report.txt"
+        assert main(["train", "--data", str(root), "--checkpoint", str(ckpt),
+                     "--out", str(report), *FAST_ARGS, "--set", "max_epochs=1"]) == 0
+        assert read_report(report)["test_sentences"] == "4"
+
+        preds, evaluated = tmp_path / "preds.txt", tmp_path / "eval.txt"
+        assert main(["predict", "--data", str(root), "--checkpoint", str(ckpt),
+                     "--out", str(preds)]) == 0
+        pred, gold = read_prediction_file(preds)
+        if kind == "intent":
+            assert gold[0][0] == label and pred[0][0] != label
+        else:
+            assert gold[0][1][0] == label and pred[0][1][0] != label
+
+        assert main(["eval", "--data", str(root), "--checkpoint", str(ckpt),
+                     "--out", str(evaluated)]) == 0
+        rep = read_report(evaluated)
+        expected = evaluate(pred, gold)
+        assert int(rep["test_correct_sentences"]) == expected.correct_sentences <= 3
+        assert rep["test_intent_accuracy"] == f"{expected.intent_accuracy:.6f}"
+        assert int(rep["test_correct_chunks"]) == expected.correct_chunks
+        if kind == "intent":
+            assert expected.intent_accuracy <= 0.75
+        else:
+            assert expected.correct_chunks < expected.gold_chunks
 
 
 class TestGradcheckCommand:

@@ -389,11 +389,10 @@ class TestViterbi:
 
             assert score(pred) >= score(gold[0].tolist()) - 1e-9
 
-    def _oracle_case(self, rng, lengths):
-        S = 120
-        crf = CrfHead(8, S, rng, dtype=np.float32)
+    def _oracle_case(self, rng, lengths, S=120, dtype=np.float32):
+        crf = CrfHead(8, S, rng, dtype=dtype)
         mask = np.arange(max(lengths))[None, :] < np.array(lengths)[:, None]
-        em = rng.standard_normal(mask.shape + (S,)).astype(np.float32)
+        em = rng.standard_normal(mask.shape + (S,)).astype(dtype)
         return crf, em, mask
 
     def test_matches_the_from_to_loop_on_a_ragged_batch(self, rng):
@@ -427,6 +426,77 @@ class TestViterbi:
         paths = crf.viterbi(em, mask)
         assert paths == viterbi_loop(crf, em, mask)
         assert all(len(path) == 1 for path in paths)
+
+    def test_matches_the_from_to_loop_with_trailing_all_pad_columns(self, rng):
+        crf, em, mask = self._oracle_case(rng, [5, 2, 9, 1])
+        mask = np.pad(mask, ((0, 0), (0, 3)))
+        em = np.pad(em, ((0, 0), (0, 3), (0, 0)))
+        paths = crf.viterbi(em, mask)
+        assert paths == viterbi_loop(crf, em, mask)
+        assert [len(path) for path in paths] == [5, 2, 9, 1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_matches_the_from_to_loop_on_a_near_tie_at_the_margin(self, rng):
+        # In float32, state 0 sits one ulp below best - span, where span is
+        # max - min of T[:S, :S]. Its sum 1023.49994 + 0.75 rounds to
+        # 1024.25, as state 3's 1024.5 - 0.25 does, so the two tie and the
+        # lower index must win: pruning at best - span without a rounding
+        # margin would drop it.
+        S = 4
+        crf = CrfHead(8, S, rng, dtype=np.float32)
+        crf.T.data[:S, :S] = 0.0
+        crf.T.data[0, :S] = 0.75
+        crf.T.data[3, :S] = -0.25
+        crf.T.data[S, :S] = crf.T.data[:S, S + 1] = 0.0
+        mask = np.array([[True, True, True], [True, True, False]])
+        em = rng.standard_normal((2, 3, S)).astype(np.float32)
+        em[0, 0] = [1023.5 - 2.0 ** -14, -1000.0, -1000.0, 1024.5]
+        em[0, 1] = [0.0, 0.0, 0.0, 5.0]
+        assert np.float32(1023.5 - 2.0 ** -14) < np.float32(1024.5) - np.float32(1.0)
+        assert (em[0, 0, 0] + crf.T.data[0, 3]) == (em[0, 0, 3] + crf.T.data[3, 3])
+        paths = crf.viterbi(em, mask)
+        assert paths == viterbi_loop(crf, em, mask)
+        assert paths[0][:2] == [0, 3]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_matches_the_from_to_loop_with_a_non_finite_emission(self, rng, value):
+        crf, em, mask = self._oracle_case(rng, [6, 11, 3])
+        em[1, 4, 17] = value
+        em[0, 0, 2] = value
+        paths = crf.viterbi(em, mask)
+        assert paths == viterbi_loop(crf, em, mask)
+        assert [len(path) for path in paths] == [6, 11, 3]
+
+    def test_matches_the_from_to_loop_when_full_and_pruned_steps_mix(self, rng):
+        # Sentence 0 has flat emissions, so nearly all 120 states stay
+        # within span of the best and it takes full steps; the others have
+        # one peaked state per token and prune to it.
+        crf, em, mask = self._oracle_case(rng, [7, 12, 4, 9])
+        em[0] = 0.0
+        em[1:] += 10.0 * (rng.integers(0, 120, size=em.shape[:2] + (1,))
+                          == np.arange(120))[1:]
+        T = crf.T.data
+        span = T[:120, :120].max() - T[:120, :120].min()
+        start = T[120, :120] + em[:, 0]
+        near = (start >= start.max(axis=1, keepdims=True) - span).sum(axis=1)
+        assert near[0] > 8 and (near[1:] == 1).all()
+        assert crf.viterbi(em, mask) == viterbi_loop(crf, em, mask)
+
+    @pytest.mark.parametrize("S,dtype", [(1, np.float32), (120, np.float64)])
+    def test_matches_the_from_to_loop_for_one_label_and_in_float64(self, rng, S, dtype):
+        crf, em, mask = self._oracle_case(rng, [20, 4, 1, 13], S, dtype)
+        assert crf.viterbi(em, mask) == viterbi_loop(crf, em, mask)
+
+    def test_matches_the_from_to_loop_on_a_peaked_trained_like_batch(self, rng):
+        # A trained tagger's emissions lead by ~10 nats on one state per
+        # token, far more than span, so exactly one state survives a step.
+        crf, em, mask = self._oracle_case(rng, [14, 9, 22, 3, 17])
+        gold = rng.integers(0, 120, size=em.shape[:2])
+        em[np.arange(5)[:, None], np.arange(22), gold] += 10.0
+        paths = crf.viterbi(em, mask)
+        assert paths == viterbi_loop(crf, em, mask)
+        assert all(path == gold[b, :len(path)].tolist() for b, path in enumerate(paths))
 
     def test_empty_sequence_rejected(self):
         crf = make_crf(2)

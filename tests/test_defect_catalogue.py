@@ -160,6 +160,21 @@ def viterbi_greedy(monkeypatch):
     monkeypatch.setattr(CrfHead, "viterbi", greedy)
 
 
+def viterbi_prunes_without_span(monkeypatch):
+    """``CrfHead.viterbi`` keeps only the states within the rounding margin
+    of a step's best score, leaving ``span`` out of the prune threshold, so
+    it drops states that can still win a ``to`` state."""
+    edit_source(monkeypatch, CrfHead.viterbi, {"span + 8 * eps": "8 * eps"})
+
+
+def viterbi_prunes_without_margin(monkeypatch):
+    """``CrfHead.viterbi`` prunes at exactly ``best - span``, with no
+    rounding margin, so a state whose sum ties the best one's after float
+    rounding can be dropped and the tie goes to the higher index."""
+    edit_source(monkeypatch, CrfHead.viterbi,
+                {"(span + 8 * eps * (np.abs(best) + top))": "span"})
+
+
 def checkpoint_load_swaps_arrays(monkeypatch):
     """``load_checkpoint`` hands back two same-shape arrays under each
     other's names: the first layer's slot query and key projections."""
@@ -227,6 +242,16 @@ def viterbi_matches_brute_force():
     test_acceptance.test_c02_crf_oracle_equivalence()
 
 
+def viterbi_matches_loop_on_a_ragged_batch():
+    test_decoders.TestViterbi().test_matches_the_from_to_loop_on_a_ragged_batch(
+        np.random.default_rng(12345))
+
+
+def viterbi_matches_loop_on_a_near_tie():
+    test_decoders.TestViterbi().test_matches_the_from_to_loop_on_a_near_tie_at_the_margin(
+        np.random.default_rng(12345))
+
+
 def checkpoint_round_trip():
     with tempfile.TemporaryDirectory() as tmp:
         test_train.TestCheckpoint().test_round_trip_is_bit_exact(Path(tmp))
@@ -251,6 +276,10 @@ CATALOGUE = {
     "adam_without_bias_correction": (adam_without_bias_correction, adam_matches_oracle),
     "clipping_skipped": (clipping_skipped, clipping_scales_gradients),
     "viterbi_greedy": (viterbi_greedy, viterbi_matches_brute_force),
+    "viterbi_prunes_without_span": (viterbi_prunes_without_span,
+                                    viterbi_matches_loop_on_a_ragged_batch),
+    "viterbi_prunes_without_margin": (viterbi_prunes_without_margin,
+                                      viterbi_matches_loop_on_a_near_tie),
     "checkpoint_load_swaps_arrays": (checkpoint_load_swaps_arrays, checkpoint_round_trip),
     "crf_backward_ends_swapped": (crf_backward_ends_swapped, fused_log_partition_matches_composed),
     "attention_output_float64": (attention_output_float64, float32_graph_stays_float32),
