@@ -42,7 +42,7 @@ for mode in [AblationMode.FULL, AblationMode.SELF_ATTENTION,
 # position mixes in a weighted average of the label embeddings.
 W_labels = ad.Tensor(np.eye(d)[:, :n_slots])
 H_small = ad.Tensor(rng.normal(size=(2, d)))  # two real rows
-out = label_attention(H_small, W_labels, RowMap(np.ones((1, 2), dtype=bool)))
+out = label_attention(H_small, W_labels)
 delta = out.data - H_small.data
 print(f"\nlabel attention moved positions by mean |delta| = "
       f"{float(np.abs(delta).mean()):.4f}")

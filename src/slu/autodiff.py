@@ -409,25 +409,25 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _make_node(data, (a, gamma, beta), backward)
 
 
-def dropout(a, p: float, rng: np.random.Generator, training: bool,
-            pad_mask: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout: identity in evaluation mode, scaled mask in training.
-
-    With ``pad_mask``, a (B, n) boolean mask, ``a`` holds the real rows of a
-    padded (B, n, ...) tensor, packed as ``pad_mask`` selects them: the keep
-    mask is drawn at the padded shape and its real rows kept, so the random
-    stream advances as it would for the padded tensor.
-    """
+def _keep_mask(shape, p: float, rng: np.random.Generator, training: bool,
+               dtype) -> np.ndarray | None:
+    """Inverted-dropout keep mask for a tensor of ``shape``: ``None`` (no
+    draw) in evaluation mode or at ``p == 0``, else ``rng.random(shape) >=
+    p`` in ``dtype``, scaled by ``1/(1-p)``. The one mask rule of both
+    ``dropout`` and the fused attention node."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    a = _as_tensor(a)
     if not training or p == 0.0:
-        return a
-    if pad_mask is None:
-        keep = rng.random(a.data.shape) >= p
-    else:
-        keep = rng.random(pad_mask.shape + a.data.shape[1:])[pad_mask] >= p
-    return mul(a, Tensor(keep.astype(a.data.dtype) * (1.0 / (1.0 - p))))
+        return None
+    return (rng.random(shape) >= p).astype(dtype) * (1.0 / (1.0 - p))
+
+
+def dropout(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:
+    """Inverted dropout: identity in evaluation mode, else ``a`` times the
+    ``_keep_mask`` of its own shape, so packed rows draw for no pad."""
+    a = _as_tensor(a)
+    keep = _keep_mask(a.data.shape, p, rng, training, a.data.dtype)
+    return a if keep is None else mul(a, Tensor(keep))
 
 
 def maxpool_over_time(a, lengths: np.ndarray) -> Tensor:

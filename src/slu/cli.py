@@ -207,16 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, ckpt=False, split=False):
-        if data:
-            p.add_argument("--data", required=True, help="dataset root directory")
-        if ckpt:
-            p.add_argument("--checkpoint", required=True, help="checkpoint path")
-        if split:
-            p.add_argument("--split", default="test",
-                           choices=["train", "dev", "test"])
-        p.add_argument("--out", default=None,
-                       help="output file (default: stdout)")
+    def common(p):
+        """The arguments ``eval`` and ``predict`` share."""
+        p.add_argument("--data", required=True, help="dataset root directory")
+        p.add_argument("--checkpoint", required=True, help="checkpoint path")
+        p.add_argument("--split", default="test", choices=["train", "dev", "test"])
+        p.add_argument("--out", default=None, help="output file (default: stdout)")
 
     p_train = sub.add_parser("train", help="train a model")
     p_train.add_argument("--data", required=True, help="dataset root directory")
@@ -233,11 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    common(p_eval, data=True, ckpt=True, split=True)
+    common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_pred = sub.add_parser("predict", help="write predictions for a split")
-    common(p_pred, data=True, ckpt=True, split=True)
+    common(p_pred)
     p_pred.set_defaults(func=cmd_predict)
 
     p_score = sub.add_parser("score", help="score a prediction file")

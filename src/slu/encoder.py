@@ -88,9 +88,8 @@ class Encoder:
                 f"token id out of range [0, {vocab_size}): "
                 f"min={token_ids.min()}, max={token_ids.max()}"
             )
-        embedded = ad.dropout(self.embedding[rows.gather(token_ids)], dropout_p, rng,
-                              training, pad_mask=rows.mask)
-        return self.bilstm(embedded, rows)
+        embedded = self.embedding[rows.gather(token_ids)]
+        return self.bilstm(ad.dropout(embedded, dropout_p, rng, training), rows)
 
     def bilstm(self, embedded: Tensor, rows: RowMap) -> Tensor:
         """Both LSTM directions over packed (N, e) inputs -> packed (N, hidden_dim).

@@ -23,9 +23,9 @@ the rows just above and below it, zeroed by the row map's edge masks where
 the sentence ends. ``multi_head_attention`` is one graph node and the only
 stage that sees the padded layout: it scatters its packed inputs into
 ``(B, h, n, dk)`` heads, masks the pad keys once and gathers the real rows
-of its result. Every dropout draws its keep mask at the padded shape and
-keeps the real rows, so a seed draws the same masks as it would over the
-padded batch.
+of its result. Every dropout draws its keep mask at the shape of the
+tensor it masks: the packed rows' ``(N, k)`` for label attention and the
+window FFN, ``(B, h, n, n)`` inside the attention node.
 """
 
 from __future__ import annotations
@@ -42,17 +42,17 @@ from .encoder import uniform_init
 from .optim import Param
 
 
-def label_attention(H: Tensor, W: Tensor, rows: RowMap,
-                    dropout_p: float = 0.0,
+def label_attention(H: Tensor, W: Tensor, dropout_p: float = 0.0,
                     rng: np.random.Generator | None = None,
                     training: bool = False) -> Tensor:
     """Fold label embeddings into packed states: H + softmax(H W) W^T.
 
     ``W`` is the tied d x |labels| decoder matrix; the attention weight of
-    each row distributes over the label axis.
+    each row distributes over the label axis, and dropout masks the
+    (N, |labels|) weights. Every row is computed alone, so no row map.
     """
     A = ad.softmax(ad.matmul(H, W))
-    A = ad.dropout(A, dropout_p, rng, training, pad_mask=rows.mask)
+    A = ad.dropout(A, dropout_p, rng, training)
     return ad.add(H, ad.matmul(A, ad.transpose(W, (1, 0))))
 
 
@@ -107,9 +107,7 @@ def multi_head_attention(Q: Tensor, K: Tensor, V: Tensor, rows: RowMap,
     A -= _row_max(A)
     np.exp(A, out=A)
     A /= ad._row_sum(A)
-    keep = None
-    if training and dropout_p > 0.0:
-        keep = (rng.random(A.shape) >= dropout_p).astype(A.dtype) * (1.0 / (1.0 - dropout_p))
+    keep = ad._keep_mask(A.shape, dropout_p, rng, training, A.dtype)
     A_used = A if keep is None else A * keep
     out = merge(A_used @ v)
 
@@ -267,7 +265,7 @@ class InteractionLayer:
                  dropout_p, rng, training) -> tuple[Tensor, Tensor]:
         hidden = ad.relu(ad.add(ad.matmul(window(H_I, H_S, rows), self.W1), self.b1))
         ffn = ad.add(ad.matmul(hidden, self.W2), self.b2)
-        ffn = ad.dropout(ffn, dropout_p, rng, training, pad_mask=rows.mask)
+        ffn = ad.dropout(ffn, dropout_p, rng, training)
         out_I = self.ln_i_out(ad.add(H_I, ffn))
         out_S = self.ln_s_out(ad.add(H_S, ffn))
         return out_I, out_S
@@ -280,11 +278,11 @@ class InteractionLayer:
         if self.mode == AblationMode.NO_INTENT_LABEL_ATTENTION:
             H_I = in_I
         else:
-            H_I = label_attention(in_I, W_I, rows, dropout_p, rng, training)
+            H_I = label_attention(in_I, W_I, dropout_p, rng, training)
         if self.mode == AblationMode.NO_SLOT_LABEL_ATTENTION:
             H_S = in_S
         else:
-            H_S = label_attention(in_S, W_S, rows, dropout_p, rng, training)
+            H_S = label_attention(in_S, W_S, dropout_p, rng, training)
         H_I, H_S = self.cross_attention(H_I, H_S, rows, dropout_p, rng, training)
         return self.ffn_fuse(H_I, H_S, rows, dropout_p, rng, training)
 

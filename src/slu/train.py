@@ -10,7 +10,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .config import Config, ConfigError
-from .data import Utterance, Vocab, build_vocab, make_batches
+from .data import DataError, Utterance, Vocab, build_vocab, make_batches
 from .metrics import EvalReport, evaluate
 from .model import JointModel
 from .optim import Adam, clip_global_norm
@@ -77,9 +77,12 @@ def train(
     model = JointModel(config, vocab, pretrained=pretrained)
     optimizer = Adam(model.params(), lr=config.lr,
                      weight_decay=config.weight_decay)
-    for utt in dev_data:  # an unseen dev label fails now, not after epoch 0
-        vocab.encode_slots(utt.slots)
-        vocab.encode_intent(utt.intent)
+    for lineno, utt in enumerate(dev_data, 1):  # fail now, not after epoch 0
+        try:
+            vocab.encode_slots(utt.slots)
+            vocab.encode_intent(utt.intent)
+        except DataError as exc:
+            raise DataError(f"dev split line {lineno}: {exc}") from None
 
     best_dev: EvalReport | None = None
     best_epoch = -1

@@ -293,41 +293,48 @@ def bilstm_oracle(enc, packed, rows):
     gathered in ``rows`` order. Each direction reads its slice
     ``enc.W[k]``, ``enc.b[k]``, so its gradients reach the stacked tensors."""
     mask = rows.mask
-    embedded = scatter(packed, rows)
+    embedded = scatter(packed, mask)
     padded = ad.concat([lstm_oracle_run(enc.W[k], enc.b[k], embedded, mask, reverse=bool(k))
                         for k in (0, 1)], axis=-1)
-    return gather(padded, rows)
+    return gather(padded, mask)
 
 
 # Packing by ``np.nonzero`` of the mask alone, so the oracles share no
 # index arithmetic with ``RowMap``.
 
 
-def gather(x, rows):
+def gather(x, mask: np.ndarray):
     """(B, n, ...) tensor -> its (N, ...) real rows, as a getitem node."""
-    return x[np.nonzero(rows.mask)]
+    return x[np.nonzero(mask)]
 
 
-def scatter(x, rows):
+def scatter(x, mask: np.ndarray):
     """(N, ...) packed rows -> (B, n, ...), zero at pads."""
-    real = np.nonzero(rows.mask)
-    data = np.zeros(rows.mask.shape + x.shape[1:], dtype=x.dtype)
+    real = np.nonzero(mask)
+    data = np.zeros(mask.shape + x.shape[1:], dtype=x.dtype)
     data[real] = x.data
     return ad._make_node(data, (x,), lambda g: (g[real],))
+
+
+def dropout_real_rows(x, mask: np.ndarray, dropout_p: float, rng, training: bool):
+    """Dropout on the real rows of a (B, n, ...) tensor: the rows gathered,
+    masked at their packed (N, ...) shape as the packed stack masks them,
+    and scattered back, zero at pads."""
+    return scatter(ad.dropout(gather(x, mask), dropout_p, rng, training), mask)
 
 
 # The interaction stack on the padded layout: every stage on (B, n, ·)
 # tensors, pads passed through or zeroed by ``where``, and attention
 # composed of generic ops. Reference for the packed stack and its fused
-# attention node; it draws the same dropout masks in the same order, so a
-# seeded model trains the same under either.
+# attention node; it draws the same dropout masks in the same order (the
+# position-wise stages over their real rows only), so a seeded model
+# trains the same under either.
 
 
 def label_attention_padded(H, W, mask: np.ndarray, dropout_p: float = 0.0,
                            rng=None, training: bool = False):
     """H + softmax(H W) W^T on (B, n, d) states; pad positions pass through."""
-    A = ad.softmax(ad.matmul(H, W))
-    A = ad.dropout(A, dropout_p, rng, training)
+    A = dropout_real_rows(ad.softmax(ad.matmul(H, W)), mask, dropout_p, rng, training)
     out = ad.add(H, ad.matmul(A, ad.transpose(W, (1, 0))))
     return where(mask[:, :, None], out, H)
 
@@ -391,7 +398,7 @@ def ffn_fuse_padded(layer, H_I, H_S, mask, dropout_p, rng, training):
     window = ad.concat([padded[:, :n], combined, padded[:, 2:]], axis=-1)
     hidden = ad.relu(ad.add(ad.matmul(window, layer.W1), layer.b1))
     ffn = ad.add(ad.matmul(hidden, layer.W2), layer.b2)
-    ffn = ad.dropout(ffn, dropout_p, rng, training)
+    ffn = dropout_real_rows(ffn, mask, dropout_p, rng, training)
     return layer.ln_i_out(ad.add(H_I, ffn)), layer.ln_s_out(ad.add(H_S, ffn))
 
 
@@ -401,7 +408,7 @@ def interaction_forward_padded(stack, H, W_I, W_S, rows, dropout_p: float = 0.0,
     scattered to (B, n, d), every layer run padded, the real rows of both
     streams gathered back."""
     mask = rows.mask
-    cur_I = cur_S = scatter(H, rows)
+    cur_I = cur_S = scatter(H, mask)
     for layer in stack.layers:
         if layer.mode != AblationMode.NO_INTENT_LABEL_ATTENTION:
             cur_I = label_attention_padded(cur_I, W_I, mask, dropout_p, rng, training)
@@ -411,7 +418,7 @@ def interaction_forward_padded(stack, H, W_I, W_S, rows, dropout_p: float = 0.0,
                                               dropout_p, rng, training)
         cur_I, cur_S = ffn_fuse_padded(layer, cur_I, cur_S, mask,
                                        dropout_p, rng, training)
-    return gather(cur_I, rows), gather(cur_S, rows)
+    return gather(cur_I, mask), gather(cur_S, mask)
 
 
 @contextlib.contextmanager

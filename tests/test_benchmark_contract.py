@@ -17,25 +17,55 @@ from slu.data import Utterance, make_batches
 from slu.decoders import CrfHead
 from slu.gradcheck import toy_setup
 from slu.model import JointModel
+from slu.optim import Adam, clip_global_norm
 from slu.train import predict_dataset
 
-SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
+def load_benchmark(name: str):
+    """``benchmarks/<name>.py`` as the module ``benchmark_<name>``."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}",
+                                                  BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("entry", load_spans().TRACED, ids=lambda e: e[2] + "/" + e[1])
+@pytest.mark.parametrize("entry", load_benchmark("spans").TRACED, ids=lambda e: e[2] + "/" + e[1])
 def test_traced_attribute_is_defined_on_its_owner(entry):
     # The tracer reads the raw attribute, so an inherited or renamed one
     # would raise KeyError at install time.
     owner, attr, _ = entry
     assert callable(vars(owner)[attr])
+
+
+def test_traced_training_step_captures_and_replays_every_stage(monkeypatch):
+    # The stage split replays the calls the tracer captured in one step. A
+    # stage whose calls stop reaching its traced attribute, or whose
+    # captured arguments no longer replay, would report zero
+    # ``*_fwd_s``/``*_bwd_s`` time while every other test stays green.
+    spans = load_benchmark("spans")
+    monkeypatch.setitem(sys.modules, "spans", spans)  # stages.py imports it so
+    stages = load_benchmark("stages")
+    ref, batch = toy_setup(seed=0)
+    config = ref.config.replace(dropout=0.2, encoder_dropout=0.2)
+    model = JointModel(config, ref.vocab, dtype=np.float64)
+    params = model.params()
+    optimizer = Adam(params, lr=config.lr, weight_decay=config.weight_decay)
+    tracer = spans.Tracer()
+    tracer.step = tracer.capture_step = 0
+    with tracer:
+        loss = model.loss(batch, training=True)
+        optimizer.zero_grad()
+        loss.backward()
+        clip_global_norm(params, config.clip_norm)
+        optimizer.step()
+    captured = {call.name for call in tracer.calls}
+    assert set(stages.STAGES) <= captured, set(stages.STAGES) - captured
+    split = stages.split(tracer.calls, params, min_repeats=1, min_seconds=0.0)
+    assert all(fwd > 0.0 and bwd > 0.0 for fwd, bwd in split.values()), split
 
 
 def test_one_sentence_forward_gives_one_emission_matrix():

@@ -20,6 +20,7 @@ from slu.metrics import evaluate
 from helpers import CORRUPT_CHECKPOINTS, rewrite_header
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_data" / "atis16"
+TOY_CFG = SAMPLE.parent.parent / "configs" / "toy.cfg"
 
 FAST_ARGS = [
     "--set", "embed_dim=16", "--set", "hidden_dim=16",
@@ -365,6 +366,24 @@ class TestUnseenTestLabels:
             assert expected.intent_accuracy <= 0.75
         else:
             assert expected.correct_chunks < expected.gold_chunks
+
+
+class TestUnseenDevLabel:
+    def test_train_names_the_dev_split_and_line(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        shutil.copytree(SAMPLE, root)
+        path = root / "dev" / "label"
+        lines = path.read_text().splitlines()
+        lines[2] = "atis_day_name"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--data", str(root), "--config", str(TOY_CFG),
+                   "--checkpoint", str(tmp_path / "x.ckpt"),
+                   "--out", str(tmp_path / "r.txt"), "--set", "max_epochs=1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error: dev split line 3: "
+                                "unknown intent label 'atis_day_name'\n")
+        assert "epoch 0" not in captured.out
 
 
 class TestGradcheckCommand:

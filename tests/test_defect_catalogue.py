@@ -175,6 +175,12 @@ def viterbi_prunes_without_margin(monkeypatch):
                 {"(span + 8 * eps * (np.abs(best) + top))": "span"})
 
 
+def keep_mask_unscaled(monkeypatch):
+    """The keep-mask rule that ``dropout`` and the attention node share
+    leaves out the ``1/(1-p)`` scale, so survivors keep their value."""
+    edit_source(monkeypatch, ad._keep_mask, {" * (1.0 / (1.0 - p))": ""})
+
+
 def checkpoint_load_swaps_arrays(monkeypatch):
     """``load_checkpoint`` hands back two same-shape arrays under each
     other's names: the first layer's slot query and key projections."""
@@ -252,6 +258,10 @@ def viterbi_matches_loop_on_a_near_tie():
         np.random.default_rng(12345))
 
 
+def dropout_scales_survivors():
+    test_autodiff.TestForwardValues().test_dropout_train_scales_survivors()
+
+
 def checkpoint_round_trip():
     with tempfile.TemporaryDirectory() as tmp:
         test_train.TestCheckpoint().test_round_trip_is_bit_exact(Path(tmp))
@@ -280,6 +290,7 @@ CATALOGUE = {
                                     viterbi_matches_loop_on_a_ragged_batch),
     "viterbi_prunes_without_margin": (viterbi_prunes_without_margin,
                                       viterbi_matches_loop_on_a_near_tie),
+    "keep_mask_unscaled": (keep_mask_unscaled, dropout_scales_survivors),
     "checkpoint_load_swaps_arrays": (checkpoint_load_swaps_arrays, checkpoint_round_trip),
     "crf_backward_ends_swapped": (crf_backward_ends_swapped, fused_log_partition_matches_composed),
     "attention_output_float64": (attention_output_float64, float32_graph_stays_float32),

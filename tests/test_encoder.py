@@ -108,8 +108,7 @@ class TestEncoderDropout:
                          rng=np.random.default_rng(3), training=True).data
 
         embedded = ad.dropout(enc.embedding[self.rows.gather(self.ids)], 0.5,
-                              np.random.default_rng(3), training=True,
-                              pad_mask=self.rows.mask)
+                              np.random.default_rng(3), training=True)
         ref = enc.bilstm(embedded, self.rows)
         np.testing.assert_array_equal(out, ref.data)
         assert not np.allclose(out, enc.encode(self.ids, self.rows).data)

@@ -61,15 +61,15 @@ def packed(x: np.ndarray, mask: np.ndarray | None = None):
 
 class TestLabelAttention:
     def test_single_label_adds_its_embedding_everywhere(self, rng):
-        H, rows = packed(rng.standard_normal((1, 3, 4)))
+        H, _ = packed(rng.standard_normal((1, 3, 4)))
         W = ad.Tensor(rng.standard_normal((4, 1)))
-        out = label_attention(H, W, rows).data
+        out = label_attention(H, W).data
         np.testing.assert_allclose(out, H.data + W.data[:, 0], rtol=1e-6)
 
     def test_output_shape(self, rng):
-        H, rows = packed(rng.standard_normal((2, 5, 128)))
+        H, _ = packed(rng.standard_normal((2, 5, 128)))
         W = ad.Tensor(rng.standard_normal((128, 72)))
-        out = label_attention(H, W, rows)
+        out = label_attention(H, W)
         assert out.shape == (10, 128)
 
     def test_orthogonal_states_average_the_labels(self):
@@ -80,8 +80,8 @@ class TestLabelAttention:
         W = np.zeros((4, 3))
         W[2] = [1.0, 2.0, 6.0]  # labels live in coordinates H never touches
         W[3] = [0.0, 4.0, -1.0]
-        Hp, rows = packed(H)
-        out = label_attention(Hp, ad.Tensor(W), rows).data
+        Hp, _ = packed(H)
+        out = label_attention(Hp, ad.Tensor(W)).data
         np.testing.assert_allclose(out - Hp.data, np.broadcast_to(W.mean(axis=1), (2, 4)),
                                    atol=1e-7)
 
@@ -189,6 +189,13 @@ class TestMultiHeadAttention:
             assert_close(t.grad, rows.gather(pad.grad), tol=1e-8)
             # Pad rows of the oracle's inputs get no gradient either.
             assert not pad.grad[~rows.mask].any()
+
+    @pytest.mark.parametrize("dropout_p", [-0.1, 1.0])
+    def test_rejects_a_dropout_probability_outside_0_1(self, rng, dropout_p):
+        # The node shares ``ad.dropout``'s keep-mask rule and its check.
+        (Q, K, V), rows = attention_inputs(rng)
+        with pytest.raises(ValueError, match="dropout probability"):
+            multi_head_attention(Q, K, V, rows, 2, dropout_p, rng, training=True)
 
     def test_float32_matches_padded_oracle(self, rng):
         (Q, K, V), rows = attention_inputs(rng, dtype=np.float32)
@@ -459,6 +466,32 @@ class TestStack:
 
         np.testing.assert_array_equal(base_I.data, pert_I.data)
         np.testing.assert_array_equal(base_S.data, pert_S.data)
+
+
+class TestPackedDropout:
+    """Every packed dropout draws its keep mask at the packed (N, k) shape,
+    so trailing pad columns change no draw and no bit of the output."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_trailing_pads_change_nothing_in_training(self, dtype):
+        ref, batch = toy_setup(seed=0)
+        model = JointModel(ref.config, ref.vocab, dtype=dtype)
+        layer = model.stack.layers[0]
+        wide = ((0, 0), (0, 3))
+        runs = []
+        for ids, mask in ((batch.token_ids, batch.mask),
+                          (np.pad(batch.token_ids, wide), np.pad(batch.mask, wide))):
+            rows, rng = RowMap(mask), np.random.default_rng(11)
+            H = model.encoder.encode(ids, rows, dropout_p=0.3, rng=rng, training=True)
+            out_I, out_S = layer.ffn_fuse(H, H, rows, 0.3, rng, True)
+            runs.append(([H.data, out_I.data, out_S.data], rng.bit_generator.state))
+        (outs, state), (wide_outs, wide_state) = runs
+        for a, b in zip(outs, wide_outs):
+            np.testing.assert_array_equal(b, a)
+        assert wide_state == state
+        with ad.no_grad():
+            H_eval = model.encoder.encode(batch.token_ids, RowMap(batch.mask))
+        assert not np.array_equal(H_eval.data, outs[0])
 
 
 class TestGradients:

@@ -262,8 +262,11 @@ class TestDevLabels:
         data = tiny_corpus()
         dev = tiny_corpus()
         setattr(dev[-1], field, value)
+        kind, label = ("intent", value) if field == "intent" else ("slot", value[-1])
         lines = []
-        with pytest.raises(DataError, match="unseen"):
+        # The message names the split and the sentence's 1-based line.
+        with pytest.raises(DataError,
+                           match=f"^dev split line {len(dev)}: unknown {kind} label '{label}'$"):
             train(tiny_config(max_epochs=2), data, dev, log=lines.append)
         assert lines == []
 
