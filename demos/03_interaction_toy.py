@@ -29,7 +29,7 @@ W_intent = ad.Tensor(rng.normal(size=(d, n_intents)))
 
 for mode in [AblationMode.FULL, AblationMode.SELF_ATTENTION,
              AblationMode.INTENT_TO_SLOT_ONLY]:
-    stack = InteractionStack(d, n_heads, ffn, num_layers=2, mode=mode,
+    stack = InteractionStack(d, n_heads, ffn, num_layers=2, mode=mode, dropout=0.0,
                                rng=np.random.default_rng(3))
     H_I, H_S = stack.forward(H, W_intent, W_slot, rows)
     drift_s = float(np.abs(H_S.data - H.data).mean())
@@ -52,7 +52,7 @@ print("each row of the update lives in the span of the label columns:",
 # Padding never leaks: a sentence of three real tokens gives three packed
 # rows, and padding it to a wider batch (more pad keys for attention to
 # mask) leaves every output row unchanged.
-stack = InteractionStack(d, n_heads, ffn, 1, AblationMode.FULL,
+stack = InteractionStack(d, n_heads, ffn, 1, AblationMode.FULL, 0.0,
                            np.random.default_rng(4))
 three = ad.Tensor(H.data[:3])
 narrow = stack.forward(three, W_intent, W_slot, RowMap(np.array([[True] * 3])))

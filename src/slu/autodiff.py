@@ -409,24 +409,24 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _make_node(data, (a, gamma, beta), backward)
 
 
-def _keep_mask(shape, p: float, rng: np.random.Generator, training: bool,
+def _keep_mask(shape, p: float, rng: np.random.Generator | None,
                dtype) -> np.ndarray | None:
     """Inverted-dropout keep mask for a tensor of ``shape``: ``None`` (no
-    draw) in evaluation mode or at ``p == 0``, else ``rng.random(shape) >=
-    p`` in ``dtype``, scaled by ``1/(1-p)``. The one mask rule of both
+    draw) when no ``rng`` is given or at ``p == 0``, else ``rng.random(shape)
+    >= p`` in ``dtype``, scaled by ``1/(1-p)``. The one mask rule of both
     ``dropout`` and the fused attention node."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return None
     return (rng.random(shape) >= p).astype(dtype) * (1.0 / (1.0 - p))
 
 
-def dropout(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: identity in evaluation mode, else ``a`` times the
-    ``_keep_mask`` of its own shape, so packed rows draw for no pad."""
+def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: identity without an ``rng`` (evaluation), else ``a``
+    times the ``_keep_mask`` of its own shape, so packed rows draw for no pad."""
     a = _as_tensor(a)
-    keep = _keep_mask(a.data.shape, p, rng, training, a.data.dtype)
+    keep = _keep_mask(a.data.shape, p, rng, a.data.dtype)
     return a if keep is None else mul(a, Tensor(keep))
 
 

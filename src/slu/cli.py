@@ -23,7 +23,7 @@ from .checkpoint import (
 )
 from .config import ConfigError, build_config, config_hash, parse_overrides
 from .data import (DataError, build_vocab, load_dataset, load_pretrained_embeddings,
-                   load_split, utf8_lines)
+                   load_split, split_dir, utf8_lines)
 from .metrics import AlignmentError, EvalReport, evaluate
 from .train import DivergenceError, evaluate_model, predict_dataset, train
 from . import gradcheck as gradcheck_mod
@@ -106,7 +106,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, ckpt = _load_model(args.checkpoint)
-    data = load_split(Path(args.data) / args.split, ckpt.config.lowercase)
+    data = load_split(split_dir(args.data, args.split), ckpt.config.lowercase)
     report = evaluate_model(model, data)
     pairs = [("config_hash", config_hash(ckpt.config)),
              ("split", args.split)]
@@ -117,7 +117,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, ckpt = _load_model(args.checkpoint)
-    data = load_split(Path(args.data) / args.split, ckpt.config.lowercase)
+    data = load_split(split_dir(args.data, args.split), ckpt.config.lowercase)
     predictions = predict_dataset(model, data)
     lines = []
     for utt, (pred_intent, pred_tags) in zip(data, predictions):

@@ -101,7 +101,10 @@ class Batch:
     mask: np.ndarray               # bool (B, n_max)
     slot_ids: np.ndarray | None    # int (B, n_max), 0 at pads; None to decode
     intent_ids: np.ndarray | None  # int (B,); None to decode
-    lengths: np.ndarray            # int (B,)
+
+    @property
+    def lengths(self) -> np.ndarray:  # int (B,), read off the mask
+        return self.mask.sum(axis=1)
 
     @property
     def size(self) -> int:
@@ -210,16 +213,18 @@ def load_split(dir_path: str | Path, lowercase: bool = True) -> list[Utterance]:
     return utterances
 
 
+def split_dir(root: str | Path, name: str) -> Path:
+    """Split ``name``'s directory under ``root``; ``valid`` stands in for a missing ``dev``."""
+    root = Path(root)
+    if name == "dev" and not (root / "dev").is_dir() and (root / "valid").is_dir():
+        return root / "valid"
+    return root / name
+
+
 def load_dataset(root: str | Path, lowercase: bool = True) -> dict[str, list[Utterance]]:
     """Load train/dev/test splits; ``valid`` works as a dev alias."""
-    root = Path(root)
-    splits: dict[str, list[Utterance]] = {}
-    for name in ("train", "dev", "test"):
-        path = root / name
-        if name == "dev" and not path.is_dir() and (root / "valid").is_dir():
-            path = root / "valid"
-        splits[name] = load_split(path, lowercase)
-    return splits
+    return {name: load_split(split_dir(root, name), lowercase)
+            for name in ("train", "dev", "test")}
 
 
 def _ordered(counter: Counter) -> list[str]:
@@ -307,8 +312,7 @@ def make_batches(
     for start in range(0, len(data), batch_size):
         idx = order[start : start + batch_size]
         members = [data[i] for i in idx]
-        lengths = np.array([len(u.tokens) for u in members])
-        n_max = int(lengths.max())
+        n_max = max(len(u.tokens) for u in members)
         B = len(members)
         token_ids = np.zeros((B, n_max), dtype=np.int64)
         mask = np.zeros((B, n_max), dtype=bool)
@@ -321,5 +325,5 @@ def make_batches(
             if labels:
                 slot_ids[b, :n] = vocab.encode_slots(utt.slots)
                 intent_ids[b] = vocab.encode_intent(utt.intent)
-        batches.append(Batch(token_ids, mask, slot_ids, intent_ids, lengths))
+        batches.append(Batch(token_ids, mask, slot_ids, intent_ids))
     return batches

@@ -41,16 +41,17 @@ class Encoder:
     backward), so ``bilstm`` reads them as they are stored. In ``W`` the
     input rows come before the hidden rows. Along the last axis the gates
     are input, forget, output, candidate. No peepholes; initial hidden and
-    cell states are zero.
+    cell states are zero. ``dropout`` is the embeddings' dropout rate.
     """
 
     def __init__(self, vocab_size: int, embed_dim: int, hidden_dim: int,
-                 rng: np.random.Generator, pretrained: np.ndarray | None = None,
-                 dtype=np.float32):
+                 dropout: float, rng: np.random.Generator,
+                 pretrained: np.ndarray | None = None, dtype=np.float32):
         if hidden_dim % 2 != 0:
             raise ValueError(f"hidden_dim must be even, got {hidden_dim}")
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
+        self.dropout = dropout
         if pretrained is not None:
             if pretrained.shape != (vocab_size, embed_dim):
                 raise ValueError(
@@ -72,9 +73,9 @@ class Encoder:
                 Param("encoder.lstm.b", self.b, decay=False)]
 
     def encode(self, token_ids: np.ndarray, rows: RowMap,
-               dropout_p: float = 0.0, rng: np.random.Generator | None = None,
-               training: bool = False) -> Tensor:
-        """(B, n) int ids placed by ``rows`` -> packed (N, hidden_dim) states."""
+               rng: np.random.Generator | None = None) -> Tensor:
+        """(B, n) int ids placed by ``rows`` -> packed (N, hidden_dim) states.
+        Embedding dropout draws from ``rng``; ``rng=None`` draws nothing."""
         token_ids = np.asarray(token_ids)
         if token_ids.ndim != 2:
             raise ad.ShapeError(f"token_ids must be 2-D, got shape {token_ids.shape}")
@@ -89,7 +90,7 @@ class Encoder:
                 f"min={token_ids.min()}, max={token_ids.max()}"
             )
         embedded = self.embedding[rows.gather(token_ids)]
-        return self.bilstm(ad.dropout(embedded, dropout_p, rng, training), rows)
+        return self.bilstm(ad.dropout(embedded, self.dropout, rng), rows)
 
     def bilstm(self, embedded: Tensor, rows: RowMap) -> Tensor:
         """Both LSTM directions over packed (N, e) inputs -> packed (N, hidden_dim).

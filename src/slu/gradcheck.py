@@ -59,7 +59,6 @@ def toy_setup(seed: int = 0, ablation: str = "full") -> tuple[JointModel, Batch]
         mask=np.array([[True, True, True, True], [True, True, True, False]]),
         slot_ids=np.array([[0, 1, 2, 3], [1, 2, 0, 0]]),
         intent_ids=np.array([1, 2]),
-        lengths=np.array([4, 3]),
     )
     return model, batch
 

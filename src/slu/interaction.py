@@ -25,7 +25,9 @@ stage that sees the padded layout: it scatters its packed inputs into
 ``(B, h, n, dk)`` heads, masks the pad keys once and gathers the real rows
 of its result. Every dropout draws its keep mask at the shape of the
 tensor it masks: the packed rows' ``(N, k)`` for label attention and the
-window FFN, ``(B, h, n, n)`` inside the attention node.
+window FFN, ``(B, h, n, n)`` inside the attention node. One rate, fixed
+when the layers are built, serves all three; a pass given no ``rng``
+(evaluation) draws nothing.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from .optim import Param
 
 
 def label_attention(H: Tensor, W: Tensor, dropout_p: float = 0.0,
-                    rng: np.random.Generator | None = None,
-                    training: bool = False) -> Tensor:
+                    rng: np.random.Generator | None = None) -> Tensor:
     """Fold label embeddings into packed states: H + softmax(H W) W^T.
 
     ``W`` is the tied d x |labels| decoder matrix; the attention weight of
@@ -52,7 +53,7 @@ def label_attention(H: Tensor, W: Tensor, dropout_p: float = 0.0,
     (N, |labels|) weights. Every row is computed alone, so no row map.
     """
     A = ad.softmax(ad.matmul(H, W))
-    A = ad.dropout(A, dropout_p, rng, training)
+    A = ad.dropout(A, dropout_p, rng)
     return ad.add(H, ad.matmul(A, ad.transpose(W, (1, 0))))
 
 
@@ -68,8 +69,7 @@ def _row_max(x: np.ndarray) -> np.ndarray:
 
 def multi_head_attention(Q: Tensor, K: Tensor, V: Tensor, rows: RowMap,
                          num_heads: int, dropout_p: float = 0.0,
-                         rng: np.random.Generator | None = None,
-                         training: bool = False) -> Tensor:
+                         rng: np.random.Generator | None = None) -> Tensor:
     """Scaled dot-product attention over packed (N, dm) rows, as one node.
 
     Heads are split from dm, attended independently within each sentence
@@ -107,7 +107,7 @@ def multi_head_attention(Q: Tensor, K: Tensor, V: Tensor, rows: RowMap,
     A -= _row_max(A)
     np.exp(A, out=A)
     A /= ad._row_sum(A)
-    keep = ad._keep_mask(A.shape, dropout_p, rng, training, A.dtype)
+    keep = ad._keep_mask(A.shape, dropout_p, rng, A.dtype)
     A_used = A if keep is None else A * keep
     out = merge(A_used @ v)
 
@@ -171,12 +171,13 @@ class InteractionLayer:
     """One interaction block; parameter set depends on the ablation mode."""
 
     def __init__(self, d: int, num_heads: int, ffn_dim: int, mode: AblationMode,
-                 rng: np.random.Generator, name: str, dtype=np.float32):
+                 dropout: float, rng: np.random.Generator, name: str, dtype=np.float32):
         if d % num_heads != 0:
             raise ConfigError(f"hidden_dim {d} is not divisible by num_heads {num_heads}")
         self.d = d
         self.num_heads = num_heads
         self.mode = mode
+        self.dropout = dropout
         self.name = name
         bound = 1.0 / np.sqrt(d)
 
@@ -227,75 +228,66 @@ class InteractionLayer:
         return out
 
     def cross_attention(self, H_I: Tensor, H_S: Tensor, rows: RowMap,
-                        dropout_p, rng, training) -> tuple[Tensor, Tensor]:
+                        rng) -> tuple[Tensor, Tensor]:
         w = self._weights
         mode = self.mode
+
+        def attend(q_from, kv_from, q, k, v):
+            return multi_head_attention(
+                ad.matmul(q_from, w[q]), ad.matmul(kv_from, w[k]), ad.matmul(kv_from, w[v]),
+                rows, self.num_heads, self.dropout, rng)
+
         if mode == AblationMode.SELF_ATTENTION:
             X = ad.concat([H_S, H_I], axis=-1)
-            ctx = multi_head_attention(
-                ad.matmul(X, w["self_q"]), ad.matmul(X, w["self_k"]),
-                ad.matmul(X, w["self_v"]), rows, self.num_heads,
-                dropout_p, rng, training,
-            )
-            fused = self.ln_self(ad.add(X, ctx))
+            fused = self.ln_self(ad.add(X, attend(X, X, "self_q", "self_k", "self_v")))
             d = self.d
             return fused[..., d:], fused[..., :d]
 
         if mode != AblationMode.SLOT_TO_INTENT_ONLY:
-            C_S = multi_head_attention(
-                ad.matmul(H_S, w["q_s"]), ad.matmul(H_I, w["k_i"]),
-                ad.matmul(H_I, w["v_i"]), rows, self.num_heads,
-                dropout_p, rng, training,
-            )
-            new_S = self.ln_s(ad.add(H_S, C_S))
+            new_S = self.ln_s(ad.add(H_S, attend(H_S, H_I, "q_s", "k_i", "v_i")))
         else:
             new_S = self.ln_s(H_S)
         if mode != AblationMode.INTENT_TO_SLOT_ONLY:
-            C_I = multi_head_attention(
-                ad.matmul(H_I, w["q_i"]), ad.matmul(H_S, w["k_s"]),
-                ad.matmul(H_S, w["v_s"]), rows, self.num_heads,
-                dropout_p, rng, training,
-            )
-            new_I = self.ln_i(ad.add(H_I, C_I))
+            new_I = self.ln_i(ad.add(H_I, attend(H_I, H_S, "q_i", "k_s", "v_s")))
         else:
             new_I = self.ln_i(H_I)
         return new_I, new_S
 
     def ffn_fuse(self, H_I: Tensor, H_S: Tensor, rows: RowMap,
-                 dropout_p, rng, training) -> tuple[Tensor, Tensor]:
+                 rng) -> tuple[Tensor, Tensor]:
         hidden = ad.relu(ad.add(ad.matmul(window(H_I, H_S, rows), self.W1), self.b1))
         ffn = ad.add(ad.matmul(hidden, self.W2), self.b2)
-        ffn = ad.dropout(ffn, dropout_p, rng, training)
+        ffn = ad.dropout(ffn, self.dropout, rng)
         out_I = self.ln_i_out(ad.add(H_I, ffn))
         out_S = self.ln_s_out(ad.add(H_S, ffn))
         return out_I, out_S
 
     def forward(self, in_I: Tensor, in_S: Tensor, W_I: Tensor, W_S: Tensor,
-                rows: RowMap, dropout_p: float = 0.0,
-                rng: np.random.Generator | None = None,
-                training: bool = False) -> tuple[Tensor, Tensor]:
+                rows: RowMap, rng: np.random.Generator | None = None
+                ) -> tuple[Tensor, Tensor]:
         """One layer over packed (N, d) streams."""
         if self.mode == AblationMode.NO_INTENT_LABEL_ATTENTION:
             H_I = in_I
         else:
-            H_I = label_attention(in_I, W_I, dropout_p, rng, training)
+            H_I = label_attention(in_I, W_I, self.dropout, rng)
         if self.mode == AblationMode.NO_SLOT_LABEL_ATTENTION:
             H_S = in_S
         else:
-            H_S = label_attention(in_S, W_S, dropout_p, rng, training)
-        H_I, H_S = self.cross_attention(H_I, H_S, rows, dropout_p, rng, training)
-        return self.ffn_fuse(H_I, H_S, rows, dropout_p, rng, training)
+            H_S = label_attention(in_S, W_S, self.dropout, rng)
+        H_I, H_S = self.cross_attention(H_I, H_S, rows, rng)
+        return self.ffn_fuse(H_I, H_S, rows, rng)
 
 
 class InteractionStack:
     """L independent layers; the first consumes the encoder output twice."""
 
     def __init__(self, d: int, num_heads: int, ffn_dim: int, num_layers: int,
-                 mode: AblationMode, rng: np.random.Generator, dtype=np.float32):
+                 mode: AblationMode, dropout: float, rng: np.random.Generator, dtype=np.float32):
         if num_layers < 1:
             raise ConfigError(f"num_layers must be at least 1, got {num_layers}")
+        self.dropout = dropout
         self.layers = [
-            InteractionLayer(d, num_heads, ffn_dim, mode, rng, f"interact.{i}", dtype)
+            InteractionLayer(d, num_heads, ffn_dim, mode, dropout, rng, f"interact.{i}", dtype)
             for i in range(num_layers)
         ]
 
@@ -306,12 +298,9 @@ class InteractionStack:
         return out
 
     def forward(self, H: Tensor, W_I: Tensor, W_S: Tensor, rows: RowMap,
-                dropout_p: float = 0.0, rng: np.random.Generator | None = None,
-                training: bool = False) -> tuple[Tensor, Tensor]:
+                rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
         """Packed (N, d) encoder rows -> packed (intent, slot) streams."""
         cur_I = cur_S = H
         for layer in self.layers:
-            cur_I, cur_S = layer.forward(
-                cur_I, cur_S, W_I, W_S, rows, dropout_p, rng, training
-            )
+            cur_I, cur_S = layer.forward(cur_I, cur_S, W_I, W_S, rows, rng)
         return cur_I, cur_S

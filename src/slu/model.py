@@ -33,12 +33,12 @@ class JointModel:
         self.dtype = dtype
         self.rng = np.random.default_rng(config.seed)
         d = config.hidden_dim
-        self.encoder = Encoder(vocab.n_words, config.embed_dim, d, self.rng,
-                               pretrained=pretrained, dtype=dtype)
+        self.encoder = Encoder(vocab.n_words, config.embed_dim, d, config.encoder_dropout,
+                               self.rng, pretrained=pretrained, dtype=dtype)
         self.intent_head = IntentHead(d, vocab.n_intents, self.rng, dtype=dtype)
         self.crf = CrfHead(d, vocab.n_slots, self.rng, dtype=dtype)
         self.stack = InteractionStack(d, config.num_heads, config.ffn_dim,
-                                        config.num_layers, config.mode,
+                                        config.num_layers, config.mode, config.dropout,
                                         self.rng, dtype=dtype)
 
     def params(self) -> list[Param]:
@@ -48,15 +48,12 @@ class JointModel:
     def forward(self, token_ids: np.ndarray, mask: np.ndarray,
                 training: bool = False) -> tuple[Tensor, Tensor]:
         """Token ids + mask -> (intent logits (B, |I|), emissions (B, n, |S|)).
-        One ``RowMap`` places the packed rows from the encoder to the heads."""
-        cfg = self.config
+        One ``RowMap`` places the packed rows from the encoder to the heads;
+        only a training pass hands ``self.rng`` on, to draw dropout masks."""
         rows = RowMap(mask)
-        H = self.encoder.encode(token_ids, rows, dropout_p=cfg.encoder_dropout,
-                                rng=self.rng, training=training)
-        H_I, H_S = self.stack.forward(
-            H, self.intent_head.W, self.crf.W, rows,
-            dropout_p=cfg.dropout, rng=self.rng, training=training,
-        )
+        rng = self.rng if training else None
+        H = self.encoder.encode(token_ids, rows, rng)
+        H_I, H_S = self.stack.forward(H, self.intent_head.W, self.crf.W, rows, rng)
         return self.intent_head.logits(H_I, rows), self.crf.emissions(H_S, rows)
 
     def loss(self, batch: Batch, training: bool = True) -> Tensor:

@@ -316,11 +316,11 @@ def scatter(x, mask: np.ndarray):
     return ad._make_node(data, (x,), lambda g: (g[real],))
 
 
-def dropout_real_rows(x, mask: np.ndarray, dropout_p: float, rng, training: bool):
+def dropout_real_rows(x, mask: np.ndarray, dropout_p: float, rng):
     """Dropout on the real rows of a (B, n, ...) tensor: the rows gathered,
     masked at their packed (N, ...) shape as the packed stack masks them,
     and scattered back, zero at pads."""
-    return scatter(ad.dropout(gather(x, mask), dropout_p, rng, training), mask)
+    return scatter(ad.dropout(gather(x, mask), dropout_p, rng), mask)
 
 
 # The interaction stack on the padded layout: every stage on (B, n, ·)
@@ -331,17 +331,15 @@ def dropout_real_rows(x, mask: np.ndarray, dropout_p: float, rng, training: bool
 # trains the same under either.
 
 
-def label_attention_padded(H, W, mask: np.ndarray, dropout_p: float = 0.0,
-                           rng=None, training: bool = False):
+def label_attention_padded(H, W, mask: np.ndarray, dropout_p: float = 0.0, rng=None):
     """H + softmax(H W) W^T on (B, n, d) states; pad positions pass through."""
-    A = dropout_real_rows(ad.softmax(ad.matmul(H, W)), mask, dropout_p, rng, training)
+    A = dropout_real_rows(ad.softmax(ad.matmul(H, W)), mask, dropout_p, rng)
     out = ad.add(H, ad.matmul(A, ad.transpose(W, (1, 0))))
     return where(mask[:, :, None], out, H)
 
 
 def multi_head_attention_padded(Q, K, V, key_mask: np.ndarray, num_heads: int,
-                                dropout_p: float = 0.0, rng=None,
-                                training: bool = False):
+                                dropout_p: float = 0.0, rng=None):
     """Attention over (B, n, dm) projections in 14 generic nodes: split the
     heads, scale the scores, mask the pad keys to -inf, softmax, dropout,
     context, merge the heads."""
@@ -354,18 +352,18 @@ def multi_head_attention_padded(Q, K, V, key_mask: np.ndarray, num_heads: int,
     q, k, v = split(Q), split(K), split(V)
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
     A = ad.softmax(where(key_mask[:, None, None, :], scores, -np.inf))
-    A = ad.dropout(A, dropout_p, rng, training)
+    A = ad.dropout(A, dropout_p, rng)
     ctx = ad.matmul(A, v)
     return reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, n, dm))
 
 
-def cross_attention_padded(layer, H_I, H_S, mask, dropout_p, rng, training):
+def cross_attention_padded(layer, H_I, H_S, mask, rng):
     w = layer._weights
     mode = layer.mode
 
     def attend(q, k, v):
         return multi_head_attention_padded(q, k, v, mask, layer.num_heads,
-                                           dropout_p, rng, training)
+                                           layer.dropout, rng)
 
     if mode == AblationMode.SELF_ATTENTION:
         X = ad.concat([H_S, H_I], axis=-1)
@@ -388,7 +386,7 @@ def cross_attention_padded(layer, H_I, H_S, mask, dropout_p, rng, training):
     return new_I, new_S
 
 
-def ffn_fuse_padded(layer, H_I, H_S, mask, dropout_p, rng, training):
+def ffn_fuse_padded(layer, H_I, H_S, mask, rng):
     """Window FFN over (B, n, d) streams: pads zeroed, zero edge rows
     concatenated on either side, the (B, n, 6d) window sliced from them."""
     combined = where(mask[:, :, None], ad.concat([H_I, H_S], axis=-1), 0.0)
@@ -398,12 +396,11 @@ def ffn_fuse_padded(layer, H_I, H_S, mask, dropout_p, rng, training):
     window = ad.concat([padded[:, :n], combined, padded[:, 2:]], axis=-1)
     hidden = ad.relu(ad.add(ad.matmul(window, layer.W1), layer.b1))
     ffn = ad.add(ad.matmul(hidden, layer.W2), layer.b2)
-    ffn = dropout_real_rows(ffn, mask, dropout_p, rng, training)
+    ffn = dropout_real_rows(ffn, mask, layer.dropout, rng)
     return layer.ln_i_out(ad.add(H_I, ffn)), layer.ln_s_out(ad.add(H_S, ffn))
 
 
-def interaction_forward_padded(stack, H, W_I, W_S, rows, dropout_p: float = 0.0,
-                               rng=None, training: bool = False):
+def interaction_forward_padded(stack, H, W_I, W_S, rows, rng=None):
     """``InteractionStack.forward`` on the padded layout: the packed input
     scattered to (B, n, d), every layer run padded, the real rows of both
     streams gathered back."""
@@ -411,13 +408,11 @@ def interaction_forward_padded(stack, H, W_I, W_S, rows, dropout_p: float = 0.0,
     cur_I = cur_S = scatter(H, mask)
     for layer in stack.layers:
         if layer.mode != AblationMode.NO_INTENT_LABEL_ATTENTION:
-            cur_I = label_attention_padded(cur_I, W_I, mask, dropout_p, rng, training)
+            cur_I = label_attention_padded(cur_I, W_I, mask, layer.dropout, rng)
         if layer.mode != AblationMode.NO_SLOT_LABEL_ATTENTION:
-            cur_S = label_attention_padded(cur_S, W_S, mask, dropout_p, rng, training)
-        cur_I, cur_S = cross_attention_padded(layer, cur_I, cur_S, mask,
-                                              dropout_p, rng, training)
-        cur_I, cur_S = ffn_fuse_padded(layer, cur_I, cur_S, mask,
-                                       dropout_p, rng, training)
+            cur_S = label_attention_padded(cur_S, W_S, mask, layer.dropout, rng)
+        cur_I, cur_S = cross_attention_padded(layer, cur_I, cur_S, mask, rng)
+        cur_I, cur_S = ffn_fuse_padded(layer, cur_I, cur_S, mask, rng)
     return gather(cur_I, mask), gather(cur_S, mask)
 
 

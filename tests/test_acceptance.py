@@ -113,11 +113,10 @@ def test_c01_gradient_suite():
         "softmax": lambda x: s(ad.softmax(x)),
         "logsumexp": lambda x: ad.tsum(ad.logsumexp(x, axis=1)),
         "layer_norm": lambda x: s(ad.layer_norm(x, gamma, beta)),
-        "dropout": lambda x: s(ad.dropout(x, 0.4, np.random.default_rng(99),
-                                          training=True)),
+        "dropout": lambda x: s(ad.dropout(x, 0.4, np.random.default_rng(99))),
         "multi_head_attention": lambda x: s(multi_head_attention(
             x, ad.mul(x, aux), ad.add(x, aux), rows3, num_heads=2, dropout_p=0.3,
-            rng=np.random.default_rng(5), training=True)),
+            rng=np.random.default_rng(5))),
         "window": lambda x: ad.tsum(ad.mul(window(x, ad.mul(x, aux), rows3),
                                            window_proj)),
         "maxpool_over_time": lambda x: ad.tsum(

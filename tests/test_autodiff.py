@@ -136,13 +136,13 @@ class TestForwardValues:
 
     def test_dropout_eval_is_identity(self, rng):
         x = ad.Tensor(rng.standard_normal((4, 4)))
-        out = ad.dropout(x, 0.5, rng, training=False)
+        out = ad.dropout(x, 0.5, None)
         assert out is x
 
     def test_dropout_train_scales_survivors(self):
         rng = np.random.default_rng(0)
         x = np.ones((2000,), dtype=np.float64)
-        out = ad.dropout(ad.Tensor(x), 0.25, rng, training=True).data
+        out = ad.dropout(ad.Tensor(x), 0.25, rng).data
         survivors = out[out != 0.0]
         np.testing.assert_allclose(survivors, 1.0 / 0.75)
         # Inverted scaling keeps the expectation near 1.
@@ -150,9 +150,11 @@ class TestForwardValues:
 
     def test_dropout_rejects_bad_probability(self, rng):
         with pytest.raises(ValueError):
-            ad.dropout(ad.Tensor([1.0]), 1.0, rng, training=True)
+            ad.dropout(ad.Tensor([1.0]), 1.0, rng)
         with pytest.raises(ValueError):
-            ad.dropout(ad.Tensor([1.0]), -0.1, rng, training=True)
+            ad.dropout(ad.Tensor([1.0]), -0.1, rng)
+        with pytest.raises(ValueError):  # checked before the no-rng shortcut
+            ad.dropout(ad.Tensor([1.0]), 1.0, None)
 
 
 class TestBackward:
@@ -722,7 +724,7 @@ class TestFiniteDifferences:
         x = np.ones((64,), dtype=np.float64)
         rng = np.random.default_rng(3)
         tx = ad.Tensor(x, requires_grad=True)
-        out = ad.dropout(tx, 0.5, rng, training=True)
+        out = ad.dropout(tx, 0.5, rng)
         ad.tsum(out).backward()
         np.testing.assert_array_equal(tx.grad, out.data)
 

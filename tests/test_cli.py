@@ -142,6 +142,21 @@ class TestEvalPredictScore:
         assert token == "morning"
         assert gold_tag == "B-depart_time.period_of_day"
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_dev_split_reads_a_valid_directory(self, trained, tmp_path, command):
+        # ``train`` takes ``valid/`` for a missing ``dev/``, and so do the
+        # commands that read one split: the output is that of ``dev/``.
+        _, ckpt, _ = trained
+        data = tmp_path / "atis16"
+        shutil.copytree(SAMPLE, data)
+        (data / "dev").rename(data / "valid")
+        outs = [tmp_path / "dev.txt", tmp_path / "valid.txt"]
+        for root, out in zip((SAMPLE, data), outs):
+            rc = main([command, "--data", str(root), "--checkpoint", str(ckpt),
+                       "--split", "dev", "--out", str(out)])
+            assert rc == 0
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+
     def test_score_agrees_with_eval(self, trained, tmp_path):
         _, ckpt, _ = trained
         preds = tmp_path / "preds.txt"

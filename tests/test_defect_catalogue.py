@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from slu import autodiff as ad
-from slu import checkpoint, interaction, optim
+from slu import checkpoint, interaction, optim, train
+from slu.model import JointModel
 from slu.config import AblationMode
 from slu.data import RowMap
 from slu.decoders import CrfHead
@@ -204,6 +205,19 @@ def attention_output_float64(monkeypatch):
             "ad._make_node(out.astype(np.float64), (Q, K, V), backward)"})
 
 
+def train_keeps_last_epoch(monkeypatch):
+    """``train`` never winds the model back to its best epoch: it returns
+    the last epoch's parameters beside a checkpoint of the best one's."""
+    edit_source(monkeypatch, train.train, {"model.load_state_arrays(best_params)": "pass"})
+
+
+def evaluation_draws_dropout(monkeypatch):
+    """``JointModel.forward`` hands the model's generator to the layers in
+    evaluation too, so a decode draws dropout masks."""
+    edit_source(monkeypatch, JointModel.forward,
+                {"rng = self.rng if training else None": "rng = self.rng"})
+
+
 def getitem_matches_add_at():
     for idx in (np.array([4, 1, 1, 6, 0, 4, 4]), (np.array([1, 1, 6]), np.array([4, 4, 0]))):
         test_autodiff.TestRowScatter().test_matches_add_at(np.random.default_rng(0), idx)
@@ -271,6 +285,15 @@ def fused_log_partition_matches_composed():
     test_decoders.TestFusedLogPartition().test_float64_ragged_batch(np.random.default_rng(12345))
 
 
+def train_returns_best_epoch():
+    with pytest.MonkeyPatch.context() as mp:
+        test_train.TestEarlyStopping().test_returns_the_best_epochs_parameters(mp)
+
+
+def evaluation_leaves_rng_alone():
+    test_train.TestEvaluationDraws().test_evaluation_draws_nothing_and_training_draws()
+
+
 def float32_graph_stays_float32():
     test_train.TestDtypeContract().test_float32_training_graph_is_float32(AblationMode.FULL)
 
@@ -294,6 +317,8 @@ CATALOGUE = {
     "checkpoint_load_swaps_arrays": (checkpoint_load_swaps_arrays, checkpoint_round_trip),
     "crf_backward_ends_swapped": (crf_backward_ends_swapped, fused_log_partition_matches_composed),
     "attention_output_float64": (attention_output_float64, float32_graph_stays_float32),
+    "train_keeps_last_epoch": (train_keeps_last_epoch, train_returns_best_epoch),
+    "evaluation_draws_dropout": (evaluation_draws_dropout, evaluation_leaves_rng_alone),
 }
 
 

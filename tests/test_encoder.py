@@ -11,13 +11,13 @@ from slu.encoder import Encoder
 from helpers import assert_close, bilstm_oracle, numeric_grad
 
 
-def make_encoder(vocab=9, e=8, d=8, seed=0, dtype=np.float64):
-    return Encoder(vocab, e, d, np.random.default_rng(seed), dtype=dtype)
+def make_encoder(vocab=9, e=8, d=8, seed=0, dtype=np.float64, dropout=0.0):
+    return Encoder(vocab, e, d, dropout, np.random.default_rng(seed), dtype=dtype)
 
 
 class TestShapes:
     def test_single_token_full_width(self):
-        enc = Encoder(5, 300, 128, np.random.default_rng(0))
+        enc = Encoder(5, 300, 128, 0.0, np.random.default_rng(0))
         H = enc.encode(np.array([[2]]), RowMap(np.array([[True]])))
         assert H.shape == (1, 128)
 
@@ -97,27 +97,26 @@ class TestMasking:
 
 
 class TestEncoderDropout:
-    """``dropout_p`` drops embedding entries before both LSTMs."""
+    """The encoder's ``dropout`` drops embedding entries before both LSTMs."""
 
     ids = np.array([[1, 4, 2], [3, 5, 0]])
     rows = RowMap(np.array([[True, True, True], [True, True, False]]))
 
     def test_training_drops_the_embeddings(self):
-        enc = make_encoder()
-        out = enc.encode(self.ids, self.rows, dropout_p=0.5,
-                         rng=np.random.default_rng(3), training=True).data
+        enc = make_encoder(dropout=0.5)
+        out = enc.encode(self.ids, self.rows, np.random.default_rng(3)).data
 
         embedded = ad.dropout(enc.embedding[self.rows.gather(self.ids)], 0.5,
-                              np.random.default_rng(3), training=True)
+                              np.random.default_rng(3))
         ref = enc.bilstm(embedded, self.rows)
         np.testing.assert_array_equal(out, ref.data)
         assert not np.allclose(out, enc.encode(self.ids, self.rows).data)
 
     def test_eval_mode_is_unaffected(self):
-        enc = make_encoder()
-        out = enc.encode(self.ids, self.rows, dropout_p=0.5,
-                         rng=np.random.default_rng(3), training=False).data
-        np.testing.assert_array_equal(out, enc.encode(self.ids, self.rows).data)
+        enc = make_encoder(dropout=0.5)
+        out = enc.encode(self.ids, self.rows, None).data
+        ref = enc.bilstm(enc.embedding[self.rows.gather(self.ids)], self.rows)
+        np.testing.assert_array_equal(out, ref.data)
 
 
 def lengths_rows(lengths, n):

@@ -28,7 +28,7 @@ ALL_MODES = list(AblationMode)
 
 def make_stack(d=8, heads=2, ffn=16, L=2, mode=AblationMode.FULL, seed=0,
                dtype=np.float64):
-    return InteractionStack(d, heads, ffn, L, mode, np.random.default_rng(seed),
+    return InteractionStack(d, heads, ffn, L, mode, 0.0, np.random.default_rng(seed),
                               dtype=dtype)
 
 
@@ -175,13 +175,12 @@ class TestMultiHeadAttention:
         # composed attention on the padded layout, fed the same dropout draw.
         (Q, K, V), rows = attention_inputs(rng)
         r = rng.standard_normal(Q.shape)
-        out = multi_head_attention(Q, K, V, rows, 2, dropout_p,
-                                   np.random.default_rng(4), training=True)
+        out = multi_head_attention(Q, K, V, rows, 2, dropout_p, np.random.default_rng(4))
         ad.tsum(ad.mul(out, ad.Tensor(r))).backward()
 
         pads = [ad.Tensor(rows.scatter(t.data), requires_grad=True) for t in (Q, K, V)]
         ref = multi_head_attention_padded(*pads, rows.mask, 2, dropout_p,
-                                          np.random.default_rng(4), training=True)
+                                          np.random.default_rng(4))
         ad.tsum(ad.mul(ref, ad.Tensor(rows.scatter(r)))).backward()
 
         assert_close(out.data, rows.gather(ref.data), tol=1e-12)
@@ -195,7 +194,7 @@ class TestMultiHeadAttention:
         # The node shares ``ad.dropout``'s keep-mask rule and its check.
         (Q, K, V), rows = attention_inputs(rng)
         with pytest.raises(ValueError, match="dropout probability"):
-            multi_head_attention(Q, K, V, rows, 2, dropout_p, rng, training=True)
+            multi_head_attention(Q, K, V, rows, 2, dropout_p, rng)
 
     def test_float32_matches_padded_oracle(self, rng):
         (Q, K, V), rows = attention_inputs(rng, dtype=np.float32)
@@ -220,7 +219,7 @@ class TestMultiHeadAttention:
 
 class TestFfnFuse:
     def layer(self, d=4):
-        return InteractionLayer(d, 2, 8, AblationMode.FULL,
+        return InteractionLayer(d, 2, 8, AblationMode.FULL, 0.0,
                                 np.random.default_rng(0), "t", dtype=np.float64)
 
     def test_zero_second_projection_reduces_to_layer_norm(self, rng):
@@ -229,7 +228,7 @@ class TestFfnFuse:
         layer.b2.data[:] = 0.0
         H_I, rows = packed(rng.standard_normal((1, 3, 4)))
         H_S, _ = packed(rng.standard_normal((1, 3, 4)))
-        out_I, out_S = layer.ffn_fuse(H_I, H_S, rows, 0.0, None, False)
+        out_I, out_S = layer.ffn_fuse(H_I, H_S, rows, None)
         np.testing.assert_allclose(out_I.data, layer.ln_i_out(H_I).data, atol=1e-12)
         np.testing.assert_allclose(out_S.data, layer.ln_s_out(H_S).data, atol=1e-12)
 
@@ -242,11 +241,11 @@ class TestFfnFuse:
         layer = self.layer(d)
         H_I, rows = packed(rng.standard_normal((2, 1, d)))
         H_S, _ = packed(rng.standard_normal((2, 1, d)))
-        base_I, base_S = layer.ffn_fuse(H_I, H_S, rows, 0.0, None, False)
+        base_I, base_S = layer.ffn_fuse(H_I, H_S, rows, None)
 
         layer.W1.data[: 2 * d] = 999.0
         layer.W1.data[4 * d :] = -777.0
-        junk_I, junk_S = layer.ffn_fuse(H_I, H_S, rows, 0.0, None, False)
+        junk_I, junk_S = layer.ffn_fuse(H_I, H_S, rows, None)
         np.testing.assert_array_equal(base_I.data, junk_I.data)
         np.testing.assert_array_equal(base_S.data, junk_S.data)
 
@@ -259,7 +258,7 @@ class TestFfnFuse:
         H_S = rng.standard_normal((1, 2, 4))
         alone_I, rows = packed(H_I)
         alone_S, _ = packed(H_S)
-        out_I, _ = layer.ffn_fuse(alone_I, alone_S, rows, 0.0, None, False)
+        out_I, _ = layer.ffn_fuse(alone_I, alone_S, rows, None)
 
         mask = np.array([[True, True, False, False], [True, True, True, True]])
         more_I = np.concatenate([np.pad(H_I, ((0, 0), (0, 2), (0, 0))),
@@ -268,7 +267,7 @@ class TestFfnFuse:
                                  rng.standard_normal((1, 4, 4))])
         both_I, rows2 = packed(more_I, mask)
         both_S, _ = packed(more_S, mask)
-        out_I_pad, _ = layer.ffn_fuse(both_I, both_S, rows2, 0.0, None, False)
+        out_I_pad, _ = layer.ffn_fuse(both_I, both_S, rows2, None)
         np.testing.assert_allclose(out_I_pad.data[:2], out_I.data, atol=1e-10)
 
     @pytest.mark.parametrize("block,offset", [(0, -1), (1, 0), (2, 1)],
@@ -287,7 +286,7 @@ class TestFfnFuse:
         H_S = rng.standard_normal((2, n, d))
         P_I, row_map = packed(H_I)
         P_S, _ = packed(H_S)
-        out_I, out_S = layer.ffn_fuse(P_I, P_S, row_map, 0.0, None, False)
+        out_I, out_S = layer.ffn_fuse(P_I, P_S, row_map, None)
 
         combined = np.concatenate([H_I, H_S], axis=-1)
         neighbour = np.zeros_like(combined)
@@ -324,20 +323,20 @@ class TestStack:
     def test_intent_to_slot_only_skips_the_intent_cross_term(self, rng):
         # In this mode the intent stream's update is only LN(H_I): feed the
         # cross-attention stage directly and compare against plain layer norm.
-        layer = InteractionLayer(8, 2, 16, AblationMode.INTENT_TO_SLOT_ONLY,
+        layer = InteractionLayer(8, 2, 16, AblationMode.INTENT_TO_SLOT_ONLY, 0.0,
                                    np.random.default_rng(0), "t", dtype=np.float64)
         H_I, rows = packed(rng.standard_normal((1, 3, 8)))
         H_S, _ = packed(rng.standard_normal((1, 3, 8)))
-        new_I, new_S = layer.cross_attention(H_I, H_S, rows, 0.0, None, False)
+        new_I, new_S = layer.cross_attention(H_I, H_S, rows, None)
         np.testing.assert_allclose(new_I.data, layer.ln_i(H_I).data, atol=1e-12)
         assert not np.allclose(new_S.data, layer.ln_s(H_S).data)
 
     def test_slot_to_intent_only_skips_the_slot_cross_term(self, rng):
-        layer = InteractionLayer(8, 2, 16, AblationMode.SLOT_TO_INTENT_ONLY,
+        layer = InteractionLayer(8, 2, 16, AblationMode.SLOT_TO_INTENT_ONLY, 0.0,
                                    np.random.default_rng(0), "t", dtype=np.float64)
         H_I, rows = packed(rng.standard_normal((1, 3, 8)))
         H_S, _ = packed(rng.standard_normal((1, 3, 8)))
-        new_I, new_S = layer.cross_attention(H_I, H_S, rows, 0.0, None, False)
+        new_I, new_S = layer.cross_attention(H_I, H_S, rows, None)
         np.testing.assert_allclose(new_S.data, layer.ln_s(H_S).data, atol=1e-12)
         assert not np.allclose(new_I.data, layer.ln_i(H_I).data)
 
@@ -348,11 +347,11 @@ class TestStack:
             (AblationMode.NO_INTENT_LABEL_ATTENTION, "slot"),
             (AblationMode.NO_SLOT_LABEL_ATTENTION, "intent"),
         ]:
-            layer = InteractionLayer(8, 2, 16, mode, np.random.default_rng(0),
+            layer = InteractionLayer(8, 2, 16, mode, 0.0, np.random.default_rng(0),
                                        "t", dtype=np.float64)
             # Track which stream still receives a label-attention update by
             # comparing against a full-mode twin with identical parameters.
-            full = InteractionLayer(8, 2, 16, AblationMode.FULL,
+            full = InteractionLayer(8, 2, 16, AblationMode.FULL, 0.0,
                                       np.random.default_rng(0), "t", dtype=np.float64)
             out = layer.forward(H, H, W_I, W_S, rows)
             ref = full.forward(H, H, W_I, W_S, rows)
@@ -475,15 +474,16 @@ class TestPackedDropout:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_trailing_pads_change_nothing_in_training(self, dtype):
         ref, batch = toy_setup(seed=0)
-        model = JointModel(ref.config, ref.vocab, dtype=dtype)
+        model = JointModel(ref.config.replace(dropout=0.3, encoder_dropout=0.3), ref.vocab,
+                           dtype=dtype)
         layer = model.stack.layers[0]
         wide = ((0, 0), (0, 3))
         runs = []
         for ids, mask in ((batch.token_ids, batch.mask),
                           (np.pad(batch.token_ids, wide), np.pad(batch.mask, wide))):
             rows, rng = RowMap(mask), np.random.default_rng(11)
-            H = model.encoder.encode(ids, rows, dropout_p=0.3, rng=rng, training=True)
-            out_I, out_S = layer.ffn_fuse(H, H, rows, 0.3, rng, True)
+            H = model.encoder.encode(ids, rows, rng)
+            out_I, out_S = layer.ffn_fuse(H, H, rows, rng)
             runs.append(([H.data, out_I.data, out_S.data], rng.bit_generator.state))
         (outs, state), (wide_outs, wide_state) = runs
         for a, b in zip(outs, wide_outs):

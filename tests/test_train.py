@@ -113,7 +113,7 @@ class TestGraphSize:
         mask = np.arange(lengths.max()) < lengths[:, None]
         batch = Batch(token_ids=np.where(mask, gen.integers(2, 900, mask.shape), 0),
                       mask=mask, slot_ids=np.where(mask, gen.integers(0, 120, mask.shape), 0),
-                      intent_ids=gen.integers(0, 21, 32), lengths=lengths)
+                      intent_ids=gen.integers(0, 21, 32))
         model = JointModel(config, vocab)
         census = graph_dtype_census(model.loss(batch, training=True))
         assert census["float32"]["nodes"] <= 140, census
@@ -161,6 +161,25 @@ class TestComposedKernels:
                 opt.step()
 
 
+class TestEvaluationDraws:
+    def test_evaluation_draws_nothing_and_training_draws(self):
+        # Both dropouts on: an evaluation loss and a decode leave the
+        # model's generator where it was and repeat exactly, and a
+        # training forward advances it.
+        ref, batch = toy_setup(seed=0)
+        model = JointModel(ref.config.replace(dropout=0.3, encoder_dropout=0.3), ref.vocab,
+                           dtype=np.float64)
+        state = model.rng.bit_generator.state
+        losses = [model.loss(batch, training=False).item() for _ in range(2)]
+        decodes = [model.predict(batch.token_ids, batch.mask) for _ in range(2)]
+        assert model.rng.bit_generator.state == state
+        assert losses[0] == losses[1]
+        np.testing.assert_array_equal(decodes[0][0], decodes[1][0])
+        assert decodes[0][1] == decodes[1][1]
+        model.loss(batch, training=True)
+        assert model.rng.bit_generator.state != state
+
+
 class TestDescentSanity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_single_step_decreases_same_batch_loss(self, seed):
@@ -191,6 +210,28 @@ class TestEarlyStopping:
         data = tiny_corpus()
         result = train(tiny_config(max_epochs=3, patience=100), data, data)
         assert len(result.history) == 3
+
+    def test_returns_the_best_epochs_parameters(self, monkeypatch):
+        # Scripted dev scores peak at epoch 1 of 4. The fake scorer keeps a
+        # copy of the arrays it scored, so the returned model and its
+        # checkpoint must hold epoch 1's bytes, not the last epoch's.
+        scores = iter([0.2, 0.9, 0.5, 0.4])
+        snapshots = []
+
+        def scripted(model, data):
+            snapshots.append(model.state_arrays())
+            return report(next(scores))
+
+        monkeypatch.setattr("slu.train.evaluate_model", scripted)
+        data = tiny_corpus()
+        result = train(tiny_config(max_epochs=4, patience=10), data, data)
+        assert result.best_epoch == 1 and len(snapshots) == 4
+        returned = result.model.state_arrays()
+        for name, array in returned.items():
+            assert array.tobytes() == result.checkpoint.params[name].tobytes(), name
+            assert array.tobytes() == snapshots[1][name].tobytes(), name
+        assert any(array.tobytes() != snapshots[3][name].tobytes()
+                   for name, array in returned.items())
 
     def test_improvement_rule(self):
         assert _improved(report(0.5), None)
