@@ -9,10 +9,16 @@ An op's backward closure takes the gradient of its output and returns one
 contribution per parent, in parent order: an array broadcastable to the
 parent's shape, or ``None`` for no gradient. Closures never touch a
 gradient buffer: ``_accumulate``, called only by ``backward()``, owns them.
-It skips parents without ``requires_grad``, stores a first contribution as
-a copy in the parent's dtype and adds later ones in place. An op that
-reads entries more than once (``getitem`` with repeated ids) sums its own
-repeats before it returns.
+It skips parents without ``requires_grad``. An intermediate tensor (one
+with a backward closure) keeps a first contribution of its own shape and
+dtype as its buffer, uncopied, and replaces the buffer with a new sum for
+each later one: nothing ever writes into an array a closure returned, so
+one array may be the buffer of two parents. A leaf copies its first
+contribution, into the gradient view an optimizer gave it (see
+``optim.Adam``) or else into a fresh array, and adds later ones in place.
+A broadcast or dtype-changing first contribution is materialised in the
+node's shape and dtype either way. An op that reads entries more than once
+(``getitem`` with repeated ids) sums its own repeats before it returns.
 
 ``backward()`` frees the graph as it goes: once an intermediate tensor has
 passed its gradient on, its gradient buffer, its parents and its backward
@@ -69,7 +75,7 @@ def no_grad():
 class Tensor:
     """Dense n-dimensional float array participating in reverse-mode AD."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_grad_view")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -80,6 +86,8 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], Sequence] | None = None
+        # Where a leaf's first gradient is copied; set by an optimizer.
+        self._grad_view: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -164,13 +172,34 @@ def _freed(g: np.ndarray) -> None:
 def _accumulate(node: Tensor, v: np.ndarray) -> None:
     """Add one contribution into ``node.grad``.
 
-    The first is stored as a copy in the node's dtype, so the buffer never
-    aliases an array a closure returned; later ones add in place.
+    An intermediate keeps a first contribution of its own shape and dtype
+    as its buffer, uncopied, and replaces the buffer with ``grad + v`` in
+    its dtype for each later one, so an array a closure handed to two
+    parents is never written. A leaf's buffer outlives the pass and is
+    scaled in place by clipping, so its first contribution is copied, into
+    its ``_grad_view`` when an optimizer gave it one, and later ones add in
+    place. A broadcast or dtype-changing first contribution is materialised
+    in the node's shape and dtype.
     """
-    if node.grad is None:
-        node.grad = np.array(np.broadcast_to(v, node.data.shape), dtype=node.data.dtype)
+    grad = node.grad
+    if node._backward is None:  # a leaf
+        if grad is None:
+            view = node._grad_view
+            if view is None:
+                node.grad = np.array(np.broadcast_to(v, node.data.shape),
+                                     dtype=node.data.dtype)
+            else:
+                np.copyto(view, v)
+                node.grad = view
+        else:
+            grad += v
+    elif grad is None:
+        if v.shape == node.data.shape and v.dtype == node.data.dtype:
+            node.grad = v
+        else:
+            node.grad = np.array(np.broadcast_to(v, node.data.shape), dtype=node.data.dtype)
     else:
-        node.grad += v
+        node.grad = (grad + v).astype(node.data.dtype, copy=False)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

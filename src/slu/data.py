@@ -111,13 +111,26 @@ class Batch:
         return self.token_ids.shape[0]
 
 
+def prefix_lengths(mask: np.ndarray) -> np.ndarray:
+    """Each row's length in a ``(B, n)`` bool mask, after the one check of
+    the mask layout: every row marks a non-empty prefix, so pads trail the
+    real tokens. Any other layout raises ``ValueError``."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ValueError(f"mask must be 2-D (batch, time), got shape {mask.shape}")
+    if (mask[:, 1:] > mask[:, :-1]).any():
+        raise ValueError("mask must mark a prefix of each row (pads trail real tokens)")
+    if mask.shape[1] == 0 or not mask[:, 0].all():
+        raise ValueError("a sequence has no real tokens")
+    return mask.sum(axis=1)
+
+
 class RowMap:
     """Where the real rows of a padded ``(B, n)`` batch sit once packed.
 
-    The constructor is the one check of the mask layout: every row marks a
-    non-empty prefix, so pads trail the real tokens. ``rows`` holds the
-    flat index ``b * n + t`` of each real position in row-major order, so
-    packed rows run sentence after sentence: sentence b fills rows
+    The constructor checks the mask with ``prefix_lengths``. ``rows`` holds
+    the flat index ``b * n + t`` of each real position in row-major order,
+    so packed rows run sentence after sentence: sentence b fills rows
     ``starts[b]`` to ``starts[b] + lengths[b] - 1``, and a row's sentence
     neighbours t-1 and t+1, when real, are the packed rows just above and
     below it. ``left`` and ``right`` are ``(N, 1)`` edge masks: True where
@@ -128,14 +141,8 @@ class RowMap:
 
     def __init__(self, mask: np.ndarray):
         mask = np.asarray(mask, dtype=bool)
-        if mask.ndim != 2:
-            raise ValueError(f"mask must be 2-D (batch, time), got shape {mask.shape}")
-        if (mask[:, 1:] > mask[:, :-1]).any():
-            raise ValueError("mask must mark a prefix of each row (pads trail real tokens)")
-        if mask.shape[1] == 0 or not mask[:, 0].all():
-            raise ValueError("a sequence has no real tokens")
+        self.lengths = prefix_lengths(mask)
         self.mask = mask
-        self.lengths = mask.sum(axis=1)
         self.starts = np.cumsum(self.lengths) - self.lengths
         self.rows = np.flatnonzero(mask)
         left = np.ones((self.rows.size, 1), dtype=bool)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import RowMap
+from .data import RowMap, prefix_lengths
 from .encoder import uniform_init
 from .optim import Param
 
@@ -95,74 +95,94 @@ class CrfHead:
         """log Z per sequence, shape (B,), as one graph node over
         ``emissions`` and ``T``.
 
-        The forward algorithm runs scaled in linear space (Rabiner 1989,
-        section V.A): each step is one (B, S) @ (S, S) product of the state
-        with exp(T[:S, :S] - max), and the state is renormalised to a
-        maximum of 1 with its log scale carried per sequence. Position 0
-        always counts; a later step whose mask entry is False carries the
-        state unchanged. The backward closure runs the matching recursion
-        for the posterior marginals and returns the float64 gradients
-        ``(dE, dT)`` for the node's two parents: the unary marginals are
-        ``dE``, their first and last rows the gradients of
-        ``T[begin, :S]`` and ``T[:S, end]``, and the pairwise marginals
-        summed over steps the gradient of ``T[:S, :S]``; every other entry
-        of ``T`` gets zero. The engine casts each into its parent's dtype.
+        ``mask`` marks a non-empty prefix of each row, as ``RowMap``
+        requires (``ValueError`` otherwise), so sentence b ends at step
+        ``last[b] = lengths[b] - 1``. The forward algorithm runs scaled in
+        linear space (Rabiner 1989, section V.A) over all n steps of every
+        sentence, with pad emissions zeroed once and no per-step mask. Step
+        t forms and keeps the mass ``U[t] = A[t-1] @ P`` flowing into each
+        state, with P = exp(T[:S, :S] - max), and renormalises the state
+        A[t] to a maximum of 1, keeping the step's peak. The log scales are
+        the cumulative sum of the peaks, each with the max added once, so
+        a sentence's scale is the same sum in the same order as a running
+        one. Each sentence's log Z is read from its state and scale at its
+        own last step, so nothing its pad steps compute reaches it.
+
+        The backward closure runs the matching recursion for the posterior
+        marginals. Each sentence's end gradient is seeded at its own last
+        step of a time-major (n, B, S) array, and a step back is four numpy
+        calls with no masks: R = G / U where U > 0, one GEMM R @ P.T, one
+        multiply by the stored state and one add into the step before. G
+        is exactly zero after a sentence's last step, so ``dE`` is exactly
+        zero at pads. The closure returns the float64 gradients ``(dE,
+        dT)`` for the node's two parents: the unary marginals are ``dE``;
+        the first step's marginals and the end gradients are the gradients
+        of ``T[begin, :S]`` and ``T[:S, end]``; the pairwise marginals
+        summed over steps are the gradient of ``T[:S, :S]``; every other
+        entry of ``T`` gets zero. The engine casts each into its parent's
+        dtype.
 
         Numeric range: internals are float64 whatever the input dtype.
         Emissions enter in log space, so their spread is not limited; a
         state underflows to zero only when the mass flowing into it is more
         than ~700 nats below the best state of the previous step plus the
         largest transition score. A forbidden transition (``NEG_INF``)
-        therefore contributes nothing, as long as some allowed path exists.
-        The output dtype is ``np.result_type`` of the emissions and ``T``.
+        therefore contributes nothing, as long as some allowed path runs
+        through all n steps. The output dtype is ``np.result_type`` of the
+        emissions and ``T``.
         """
-        E = emissions.data
-        B, n, S = E.shape
+        B, n, S = emissions.shape
         mask = np.asarray(mask, dtype=bool)
+        last = prefix_lengths(mask) - 1
+        every = np.arange(B)
+        E = np.where(mask[:, :, None], emissions.data, 0)  # pads never read
         T = self.T.data.astype(np.float64)
         trans, start, stop = T[:S, :S], T[self.begin, :S], T[:S, self.end]
         top = trans.max()
         P = np.exp(trans - top)
-        A = np.empty((n, B, S))  # scaled forward state entering each step
+        A = np.empty((n, B, S))  # scaled forward state at each step
+        U = np.empty((n, B, S))  # mass flowing into each step; none into step 0
+        U[0] = 0.0
+        peak = np.empty((n, B))  # step 0's log scale, then each later step's peak
         a = start + E[:, 0]
-        log_scale = a.max(axis=1)
-        A[0] = np.exp(a - log_scale[:, None])
+        a.max(axis=1, out=peak[0])
+        A[0] = np.exp(a - peak[0][:, None])
         with np.errstate(divide="ignore"):
             for t in range(1, n):
-                w = np.log(A[t - 1] @ P) + E[:, t]
-                peak = w.max(axis=1)
-                on = mask[:, t]
-                A[t] = np.where(on[:, None], np.exp(w - peak[:, None]), A[t - 1])
-                log_scale = np.where(on, log_scale + (top + peak), log_scale)
+                w = A[t]
+                np.matmul(A[t - 1], P, out=U[t])
+                np.log(U[t], out=w)
+                w += E[:, t]
+                w.max(axis=1, out=peak[t])
+                w -= peak[t][:, None]
+                np.exp(w, out=w)
+        peak[1:] += top
         stop_top = stop.max()
-        z = A[-1] * np.exp(stop - stop_top)
+        z = A[last, every] * np.exp(stop - stop_top)
         z_sum = z.sum(axis=1)
-        log_z = log_scale + stop_top + np.log(z_sum)
+        log_z = np.cumsum(peak, axis=0)[last, every] + stop_top + np.log(z_sum)
 
         def backward(g):
             # G is the gradient of sum(g * log Z) with respect to the
             # log-space state at a step: g times that step's unary marginals.
             # Stepping back, state i passes on G[j] * A[i] P[i, j] / U[j],
-            # U[j] being the mass flowing into j, so R = G / U carries the
-            # pairwise marginals and feeds the T[:S, :S] gradient.
-            G = z * (g / z_sum)[:, None]
-            dE = np.zeros((B, n, S))
-            dT = np.zeros_like(T)
-            dT[:S, self.end] = G.sum(axis=0)
-            L = A[:-1].reshape(-1, S)
-            U = (L @ P).reshape(n - 1, B, S)
-            R = np.zeros_like(U)  # stays 0 where the step is masked or U is 0
+            # so R = G / U carries the pairwise marginals and feeds the
+            # T[:S, :S] gradient.
+            G_end = z * (g / z_sum)[:, None]
+            D = np.zeros((n, B, S))  # G at each step, seeded with the ends
+            D[last, every] = G_end
+            R = np.zeros_like(U)  # stays 0 where no mass flows
+            flows = U > 0
             for t in range(n - 1, 0, -1):
-                on = mask[:, t][:, None]
-                np.divide(G, U[t - 1], out=R[t - 1], where=on & (U[t - 1] > 0))
-                dE[:, t] = np.where(on, G, 0.0)
-                G = np.where(on, A[t - 1] * (R[t - 1] @ P.T), G)
-            dE[:, 0] = G
-            dT[self.begin, :S] = G.sum(axis=0)
-            dT[:S, :S] = P * (L.T @ R.reshape(-1, S))
-            return dE, dT
+                np.divide(D[t], U[t], out=R[t], where=flows[t])
+                D[t - 1] += A[t - 1] * (R[t] @ P.T)
+            dT = np.zeros_like(T)
+            dT[self.begin, :S] = D[0].sum(axis=0)
+            dT[:S, self.end] = G_end.sum(axis=0)
+            dT[:S, :S] = P * (A[:-1].reshape(-1, S).T @ R[1:].reshape(-1, S))
+            return D.transpose(1, 0, 2), dT
 
-        out = log_z.astype(np.result_type(E.dtype, self.T.data.dtype))
+        out = log_z.astype(np.result_type(emissions.dtype, self.T.data.dtype))
         return ad._make_node(out, (emissions, self.T), backward)
 
     def gold_score(self, emissions: Tensor, gold: np.ndarray,
@@ -206,7 +226,7 @@ class CrfHead:
         a sentence's pad steps, so one backtrace serves every sentence.
         """
         emissions = np.asarray(emissions)
-        lengths = RowMap(mask).lengths
+        lengths = prefix_lengths(mask)
         S = self.num_slots
         T = self.T.data
         trans = T[:S, :S]  # (from, to)

@@ -85,7 +85,10 @@ class JointModel:
         return {p.name: p.tensor.data.copy() for p in self.params()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Install named arrays; names and shapes must match exactly."""
+        """Install named arrays; names and shapes must match exactly.
+
+        The values are written into the existing parameter arrays, cast to
+        their dtype, so an optimizer that re-homed them keeps updating them."""
         own = {p.name: p.tensor for p in self.params()}
         missing = sorted(set(own) - set(arrays))
         extra = sorted(set(arrays) - set(own))
@@ -100,4 +103,4 @@ class JointModel:
                     f"parameter {name}: shape {arr.shape} does not match "
                     f"{tensor.data.shape}"
                 )
-            tensor.data = arr.astype(tensor.data.dtype).copy()
+            np.copyto(tensor.data, arr, casting="unsafe")

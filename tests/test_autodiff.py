@@ -220,6 +220,20 @@ class TestBackward:
         np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
         np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
 
+    def test_an_array_handed_to_two_intermediates_is_never_written(self):
+        # One closure hands the same array to two intermediate parents, which
+        # keep it as their buffer; each then gets a later contribution. Added
+        # in place, u's would land in w's buffer and in the handed array.
+        a = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
+        b = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
+        u, w = ad.mul(a, 1.0), ad.mul(b, 1.0)
+        handed = np.full((2, 3), 3.0)
+        twin = ad._make_node(u.data + w.data, (u, w), lambda g: (handed, handed))
+        ad.tsum(ad.add(ad.add(twin, ad.mul(u, 2.0)), ad.mul(w, 5.0))).backward()
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 5.0))
+        np.testing.assert_array_equal(b.grad, np.full((2, 3), 8.0))
+        np.testing.assert_array_equal(handed, np.full((2, 3), 3.0))
+
     @pytest.mark.parametrize("build", [
         lambda h, c: ad.add(h, h),
         lambda h, c: ad.tsum(h),

@@ -38,6 +38,7 @@ import test_decoders
 import test_encoder
 import test_gradcheck
 import test_interaction
+import test_layout_fuzz
 import test_optim
 import test_train
 
@@ -104,6 +105,14 @@ def accumulate_without_copy(monkeypatch):
     monkeypatch.setattr(ad, "_accumulate", without_copy)
 
 
+def intermediate_adds_in_place(monkeypatch):
+    """``_accumulate`` adds an intermediate's later contributions into its
+    buffer in place, and that buffer may be an array a closure also handed
+    to another parent."""
+    edit_source(monkeypatch, ad._accumulate,
+                {"node.grad = (grad + v).astype(node.data.dtype, copy=False)": "grad += v"})
+
+
 def matmul_weight_gradient_scaled(monkeypatch):
     """``matmul``'s gradient for its right operand (the weight) ×0.9."""
     matmul = ad.matmul
@@ -142,6 +151,12 @@ def adam_without_bias_correction(monkeypatch):
     """``Adam.step`` divides neither moment by its bias correction."""
     edit_source(monkeypatch, optim.Adam.step, {"bc1 = 1.0 - self.beta1 ** t": "bc1 = 1.0",
                                                "bc2 = 1.0 - self.beta2 ** t": "bc2 = 1.0"})
+
+
+def adam_sweeps_gradless_params(monkeypatch):
+    """``Adam.step`` sweeps a parameter without a gradient too, so its stale
+    gradient view moves its moments, and weight decay shrinks it."""
+    edit_source(monkeypatch, optim.Adam.step, {"continue": "g = grad"})
 
 
 def clipping_skipped(monkeypatch):
@@ -193,8 +208,15 @@ def checkpoint_load_swaps_arrays(monkeypatch):
 def crf_backward_ends_swapped(monkeypatch):
     """``CrfHead.log_partition``'s backward writes the begin-row gradient
     into the end column and the end-column gradient into the begin row."""
-    begin, end = "dT[self.begin, :S] = G.sum(axis=0)", "dT[:S, self.end] = G.sum(axis=0)"
+    begin, end = "D[0].sum(axis=0)", "G_end.sum(axis=0)"
     edit_source(monkeypatch, CrfHead.log_partition, {begin: end, end: begin})
+
+
+def crf_end_gradient_at_last_column(monkeypatch):
+    """``CrfHead.log_partition``'s backward seeds every sentence's end
+    gradient at the batch's last step, ``n - 1``, not at its own."""
+    edit_source(monkeypatch, CrfHead.log_partition,
+                {"D[last, every] = G_end": "D[n - 1] = G_end"})
 
 
 def attention_output_float64(monkeypatch):
@@ -231,6 +253,10 @@ def shared_first_gradients_do_not_alias():
     test_autodiff.TestBackward().test_shared_first_gradients_do_not_alias()
 
 
+def handed_array_is_never_written():
+    test_autodiff.TestBackward().test_an_array_handed_to_two_intermediates_is_never_written()
+
+
 def model_gradcheck():
     result = test_gradcheck.sampled_check(0)
     assert result.passed, result.failures
@@ -252,6 +278,10 @@ def rowmap_layout():
 def adam_matches_oracle():
     test_optim.TestAdam().test_first_step_moves_by_lr()
     test_optim.TestInPlaceAdam().test_three_steps_bit_identical_to_allocating_step(0.0)
+
+
+def adam_leaves_gradless_params_alone():
+    test_optim.TestFlatStorage().test_gradless_parameter_keeps_data_and_moments()
 
 
 def clipping_scales_gradients():
@@ -285,6 +315,10 @@ def fused_log_partition_matches_composed():
     test_decoders.TestFusedLogPartition().test_float64_ragged_batch(np.random.default_rng(12345))
 
 
+def log_partition_layout_fuzz():
+    test_layout_fuzz.test_log_partition_matches_the_composed_oracle()
+
+
 def train_returns_best_epoch():
     with pytest.MonkeyPatch.context() as mp:
         test_train.TestEarlyStopping().test_returns_the_best_epochs_parameters(mp)
@@ -302,11 +336,14 @@ CATALOGUE = {
     "getitem_assigns": (getitem_assigns, getitem_matches_add_at),
     "maxpool_routes_every_tie": (maxpool_routes_every_tie, maxpool_tie_routes_to_earliest),
     "accumulate_without_copy": (accumulate_without_copy, shared_first_gradients_do_not_alias),
+    "intermediate_adds_in_place": (intermediate_adds_in_place, handed_array_is_never_written),
     "matmul_weight_gradient_scaled": (matmul_weight_gradient_scaled, model_gradcheck),
     "bilstm_drops_dc_next": (bilstm_drops_dc_next, bilstm_matches_oracle),
     "attention_backward_unscaled": (attention_backward_unscaled, attention_gradients_match_fd),
     "rowmap_edges_swapped": (rowmap_edges_swapped, rowmap_layout),
     "adam_without_bias_correction": (adam_without_bias_correction, adam_matches_oracle),
+    "adam_sweeps_gradless_params": (adam_sweeps_gradless_params,
+                                    adam_leaves_gradless_params_alone),
     "clipping_skipped": (clipping_skipped, clipping_scales_gradients),
     "viterbi_greedy": (viterbi_greedy, viterbi_matches_brute_force),
     "viterbi_prunes_without_span": (viterbi_prunes_without_span,
@@ -316,6 +353,8 @@ CATALOGUE = {
     "keep_mask_unscaled": (keep_mask_unscaled, dropout_scales_survivors),
     "checkpoint_load_swaps_arrays": (checkpoint_load_swaps_arrays, checkpoint_round_trip),
     "crf_backward_ends_swapped": (crf_backward_ends_swapped, fused_log_partition_matches_composed),
+    "crf_end_gradient_at_last_column": (crf_end_gradient_at_last_column,
+                                        log_partition_layout_fuzz),
     "attention_output_float64": (attention_output_float64, float32_graph_stays_float32),
     "train_keeps_last_epoch": (train_keeps_last_epoch, train_returns_best_epoch),
     "evaluation_draws_dropout": (evaluation_draws_dropout, evaluation_leaves_rng_alone),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slu import autodiff as ad
+from slu.gradcheck import toy_setup
 from slu.optim import Adam, Param, clip_global_norm
 
 from helpers import adam_step_oracle
@@ -123,11 +124,114 @@ class TestInPlaceAdam:
 
     def test_step_updates_the_parameter_array_in_place(self):
         p = _param([1.0, -2.0])
-        data = p.tensor.data
+        opt = Adam([p], lr=0.1)
+        data = p.tensor.data  # the optimizer's view, not the array it was built from
         p.tensor.grad = np.array([1.0, 1.0])
-        Adam([p], lr=0.1).step()
+        opt.step()
         assert p.tensor.data is data
         np.testing.assert_allclose(data, [0.9, -2.1], atol=1e-6)
+
+
+class TestFlatStorage:
+    """``Adam`` keeps parameters, gradients and moments in one flat array
+    per dtype, and ``backward()`` writes leaf gradients into its views."""
+
+    def _pair(self, dtype=np.float32, suffix=""):
+        rng = np.random.default_rng(7)
+        return [Param(name + suffix, ad.Tensor(rng.standard_normal(shape).astype(dtype),
+                                               requires_grad=True), decay)
+                for name, shape, decay in (("w", (3, 4), True), ("b", (4,), False))]
+
+    def _backward(self, params):
+        w, b = (p.tensor for p in params)
+        x = ad.Tensor(np.arange(6.0, dtype=w.dtype).reshape(2, 3))
+        ad.tsum(ad.mul(ad.add(ad.matmul(x, w), b), ad.add(ad.matmul(x, w), b))).backward()
+
+    def test_backward_fills_the_optimizers_gradient_view(self):
+        params = self._pair()
+        opt = Adam(params, lr=0.01)
+        views = [p.tensor._grad_view for p in params]
+        for _ in range(2):  # a zeroed view is refilled, not added to
+            opt.zero_grad()
+            self._backward(params)
+            got = [p.tensor.grad for p in params]
+            for g, view in zip(got, views):
+                assert g is view
+            free = self._pair()
+            for p, f in zip(params, free):
+                f.tensor.data[...] = p.tensor.data
+            self._backward(free)
+            for g, f in zip(got, free):
+                np.testing.assert_array_equal(g, f.tensor.grad)
+            opt.step()
+
+    def test_gradless_parameter_keeps_data_and_moments(self):
+        params = self._pair()
+        opt = Adam(params, lr=0.01, weight_decay=0.1)
+        self._backward(params)
+        opt.step()
+        before = [(p.tensor.data.copy(), m.copy(), v.copy())
+                  for p, m, v in zip(params, opt._m, opt._v)]
+        opt.zero_grad()
+        self._backward(params)
+        params[0].tensor.grad = None  # the decayed weight: no decay either
+        opt.step()
+        for got, want in zip((params[0].tensor.data, opt._m[0], opt._v[0]), before[0]):
+            assert got.tobytes() == want.tobytes()
+        assert params[1].tensor.data.tobytes() != before[1][0].tobytes()
+
+    def test_hand_assigned_gradient_is_used(self):
+        ours, theirs = self._pair(), self._pair()
+        opt, ref = Adam(ours, lr=0.05), Adam(theirs, lr=0.05)
+        g = np.full((3, 4), 0.5, dtype=np.float32)
+        ours[0].tensor.grad, theirs[0].tensor.grad = g, g.copy()
+        opt.step()
+        adam_step_oracle(ref)
+        np.testing.assert_array_equal(ours[0].tensor.data, theirs[0].tensor.data)
+        np.testing.assert_array_equal(ours[1].tensor.data, theirs[1].tensor.data)
+        np.testing.assert_array_equal(ours[0].tensor.grad, g)
+
+    def test_step_after_load_state_arrays_updates_the_loaded_values(self):
+        model, _ = toy_setup(0)
+        params = model.params()
+        opt = Adam(params, lr=0.1)
+        loaded = {name: a + 1.0 for name, a in model.state_arrays().items()}
+        model.load_state_arrays(loaded)
+        for p in params:
+            p.tensor.grad = np.ones_like(p.tensor.data)
+        opt.step()
+        for p in params:  # first step: every entry moves by lr against the gradient
+            np.testing.assert_allclose(p.tensor.data, loaded[p.name] - 0.1, rtol=0, atol=1e-6)
+
+    def test_replacing_a_parameter_array_raises(self):
+        params = self._pair()
+        opt = Adam(params, lr=0.01)
+        params[1].tensor.data = params[1].tensor.data.copy()
+        for p in params:
+            p.tensor.grad = np.ones_like(p.tensor.data)
+        before = params[0].tensor.data.copy()
+        with pytest.raises(ValueError, match="parameter b"):
+            opt.step()
+        np.testing.assert_array_equal(params[0].tensor.data, before)
+
+    def test_float32_and_float64_parameters_share_one_adam(self):
+        ours, theirs = ([*self._pair(np.float32), *self._pair(np.float64, "64")]
+                        for _ in range(2))
+        opt = Adam(ours, lr=0.05, weight_decay=0.01)
+        ref = Adam(theirs, lr=0.05, weight_decay=0.01)
+        bases = {p.tensor.dtype: p.tensor.data.base for p in ours}
+        for p in ours:  # one flat array per dtype
+            assert p.tensor.data.base is bases[p.tensor.dtype]
+        assert bases[np.dtype(np.float32)] is not bases[np.dtype(np.float64)]
+        for _ in range(2):
+            for a, b in zip(ours, theirs):
+                a.tensor.grad = np.full(a.tensor.shape, 0.3, a.tensor.dtype)
+                b.tensor.grad = a.tensor.grad.copy()
+            opt.step()
+            adam_step_oracle(ref)
+            for a, b in zip(ours, theirs):
+                assert a.tensor.dtype == b.tensor.dtype
+                np.testing.assert_array_equal(a.tensor.data, b.tensor.data)
 
 
 class TestClipping:
