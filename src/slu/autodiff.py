@@ -26,7 +26,9 @@ closure are dropped, so intermediate gradients are not kept and the graph
 can be differentiated only once. Leaf gradients accumulate across backward
 calls on fresh graphs until explicitly zeroed.
 
-Arrays are float32 by default; pass float64 data for the gradient-check
+Ops are the module's functions, called by name: ``Tensor`` has no
+arithmetic operators, and ``t[idx]`` is ``getitem(t, idx)``. Arrays are
+float32 by default; pass float64 data for the gradient-check
 configuration. Masks and index arrays are plain numpy arrays, never Tensors.
 
 Dtype contract: a model computes in its parameter dtype. An op's result
@@ -108,31 +110,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; the named functions below do the work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return add(self, mul(_as_tensor(other, ref=self), -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -404,17 +381,6 @@ def softmax(a) -> Tensor:
         return (s * (g - _row_sum(g * s)),)
 
     return _make_node(s, (a,), backward)
-
-
-def logsumexp(a, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
-    m = np.max(a.data, axis=axis, keepdims=True)
-    out_k = m + np.log(np.exp(a.data - m).sum(axis=axis, keepdims=True))
-
-    def backward(g):
-        return (np.exp(a.data - out_k) * np.expand_dims(g, axis),)
-
-    return _make_node(np.squeeze(out_k, axis=axis), (a,), backward)
 
 
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:

@@ -3,7 +3,9 @@ joint loss that trains both at once.
 
 The d x |labels| projection matrices are the same objects the interaction
 layers read as label embeddings, so label attention and decoding share
-parameters by construction.
+parameters by construction. The intent cross-entropy, the CRF
+log-partition and the CRF gold path score are each one graph node with a
+hand-written backward; ``tsum``, ``mul`` and ``add`` combine them.
 """
 
 from __future__ import annotations
@@ -46,10 +48,23 @@ def unpack(X: Tensor, rows: RowMap) -> Tensor:
 
 
 def cross_entropy_sum(logits: Tensor, gold: np.ndarray) -> Tensor:
-    """Summed (not averaged) negative log-likelihood of the gold classes:
-    the sum over rows of logsumexp(logits) minus the gold logit."""
-    picked = logits[np.arange(logits.shape[0]), np.asarray(gold)]
-    return ad.tsum(ad.logsumexp(logits, axis=-1) - picked)
+    """Summed (not averaged) negative log-likelihood of the gold classes, as
+    one graph node over ``logits``: per row, the row max m plus log sum
+    exp(x - m) minus the gold logit, in the logits' dtype. Its backward is
+    ``g`` times softmax minus one-hot."""
+    x = logits.data
+    rows, gold = np.arange(x.shape[0]), np.asarray(gold)
+    m = x.max(axis=1, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=1, keepdims=True)
+    loss = (m[:, 0] + np.log(s[:, 0]) - x[rows, gold]).sum()
+
+    def backward(g):
+        d = e / s
+        d[rows, gold] -= 1.0
+        return (d * g,)
+
+    return ad._make_node(loss, (logits,), backward)
 
 
 class CrfHead:
@@ -187,17 +202,27 @@ class CrfHead:
 
     def gold_score(self, emissions: Tensor, gold: np.ndarray,
                    mask: np.ndarray) -> Tensor:
-        """Path score of the gold tags: emissions plus all transition
-        factors, begin -> tag_0 -> ... -> tag_{L-1} -> end per sentence."""
+        """Summed gold path score, begin -> tag_0 -> ... -> tag_{L-1} -> end
+        per sentence, as one graph node over ``emissions`` and ``T`` that
+        never reads a pad. Its backward is the observed counts of the CRF
+        gradient (Lafferty et al. 2001): ``g`` at each gold ``(b, t, tag)``,
+        and ``g`` times the number of times each gold transition is taken."""
         sent, t = np.nonzero(mask)
         tags = np.asarray(gold)[sent, t]
-        em_sum = ad.tsum(emissions[sent, t, tags])
         first = np.flatnonzero(t == 0)
         after_last = np.r_[first[1:], tags.size]
         prev = np.insert(tags, first, self.begin)
         cur = np.insert(tags, after_last, self.end)
-        trans_sum = ad.tsum(self.T[prev, cur])
-        return ad.add(em_sum, trans_sum)
+        score = emissions.data[sent, t, tags].sum() + self.T.data[prev, cur].sum()
+
+        def backward(g):
+            dE = np.zeros_like(emissions.data)
+            dE[sent, t, tags] = g
+            K = self.num_slots + 2
+            counts = np.bincount(prev * K + cur, minlength=K * K).reshape(K, K)
+            return dE, counts * g
+
+        return ad._make_node(score, (emissions, self.T), backward)
 
     def nll(self, emissions: Tensor, gold: np.ndarray, mask: np.ndarray) -> Tensor:
         """-log P(gold | emissions), summed over the batch."""

@@ -13,6 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from slu import autodiff as ad
+from slu import decoders
 from slu.config import AblationMode
 from slu.decoders import CrfHead
 from slu.encoder import Encoder
@@ -76,6 +77,27 @@ def crf_brute_force(emissions: np.ndarray, T: np.ndarray):
     return log_z, list(paths[best]), float(scores[best])
 
 
+def logsumexp(a, axis: int = -1) -> ad.Tensor:
+    """log sum exp over ``axis``, shifted by the max. The log-space
+    step of the composed CRF oracle, and the normaliser of the composed
+    cross-entropy."""
+    a = ad._as_tensor(a)
+    m = np.max(a.data, axis=axis, keepdims=True)
+    out_k = m + np.log(np.exp(a.data - m).sum(axis=axis, keepdims=True))
+
+    def backward(g):
+        return (np.exp(a.data - out_k) * np.expand_dims(g, axis),)
+
+    return ad._make_node(np.squeeze(out_k, axis=axis), (a,), backward)
+
+
+def cross_entropy_composed(logits, gold: np.ndarray) -> ad.Tensor:
+    """Summed cross-entropy from generic nodes: ``logsumexp`` of each row
+    minus its gold logit. Reference for ``decoders.cross_entropy_sum``."""
+    picked = logits[np.arange(logits.shape[0]), np.asarray(gold)]
+    return ad.tsum(ad.add(logsumexp(logits, axis=-1), ad.mul(picked, -1.0)))
+
+
 def crf_log_partition_composed(crf, emissions, mask: np.ndarray):
     """log Z per sequence from the forward algorithm composed of autodiff
     ops in log space: one ``logsumexp`` over a (B, S, S) array per step.
@@ -88,10 +110,22 @@ def crf_log_partition_composed(crf, emissions, mask: np.ndarray):
     alpha = ad.add(crf.T[crf.begin, :S], emissions[:, 0])  # (B, S)
     for t in range(1, n):
         inner = ad.add(reshape(alpha, (B, S, 1)), trans3)
-        prop = ad.add(ad.logsumexp(inner, axis=1), emissions[:, t])
+        prop = ad.add(logsumexp(inner, axis=1), emissions[:, t])
         alpha = where(mask[:, t][:, None], prop, alpha)
     alpha = ad.add(alpha, crf.T[:S, crf.end])
-    return ad.logsumexp(alpha, axis=-1)  # (B,)
+    return logsumexp(alpha, axis=-1)  # (B,)
+
+
+def crf_gold_score_composed(crf, emissions, gold: np.ndarray, mask: np.ndarray):
+    """Summed gold path score from generic nodes: two ``getitem`` picks, of
+    the gold emissions and of the gold transitions, each summed by
+    ``tsum``. Reference for the one-node ``CrfHead.gold_score``."""
+    sent, t = np.nonzero(mask)
+    tags = np.asarray(gold)[sent, t]
+    first = np.flatnonzero(t == 0)
+    prev = np.insert(tags, first, crf.begin)
+    cur = np.insert(tags, np.r_[first[1:], tags.size], crf.end)
+    return ad.add(ad.tsum(emissions[sent, t, tags]), ad.tsum(crf.T[prev, cur]))
 
 
 def crf_gold_score_loop(crf, emissions: np.ndarray, gold: np.ndarray, mask: np.ndarray):
@@ -419,10 +453,13 @@ def interaction_forward_padded(stack, H, W_I, W_S, rows, rng=None):
 @contextlib.contextmanager
 def composed_kernels():
     """Run the model with every fused kernel swapped for its composed
-    oracle: the BiLSTM node, the CRF log-partition node and the packed
-    interaction stack with its fused attention."""
+    oracle: the BiLSTM node, the CRF log-partition and gold-score nodes,
+    the intent cross-entropy node and the packed interaction stack with
+    its fused attention."""
     swaps = [(Encoder, "bilstm", bilstm_oracle),
              (CrfHead, "log_partition", crf_log_partition_composed),
+             (CrfHead, "gold_score", crf_gold_score_composed),
+             (decoders, "cross_entropy_sum", cross_entropy_composed),
              (InteractionStack, "forward", interaction_forward_padded)]
     saved = [(owner, name, vars(owner)[name]) for owner, name, _ in swaps]
     try:

@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import crf_brute_force, reshape, where
+from helpers import crf_brute_force, logsumexp, reshape, where
 from slu import autodiff as ad
 from slu import gradcheck
 from slu.config import Config
 from slu.data import RowMap, build_vocab, load_dataset, load_pretrained_embeddings
-from slu.decoders import CrfHead
+from slu.decoders import CrfHead, cross_entropy_sum
 from slu.interaction import multi_head_attention, window
 from slu.metrics import evaluate, extract_chunks
 from slu.train import evaluate_model, train
@@ -90,6 +90,9 @@ def test_c01_gradient_suite():
                        [True, True, False, False]])
     rows3 = RowMap(np.array([[True, True], [True, False]]))  # 3 packed rows
     window_proj = ad.Tensor(np.random.default_rng(12).normal(size=(3, 24)))
+    crf = CrfHead(4, 2, np.random.default_rng(13), dtype=np.float64)
+    mask23 = np.array([[True, True, True], [True, False, False]])
+    gold23 = np.array([[1, 0, 1], [0, 1, 1]])  # the pad tags are never read
 
     def s(t):
         return ad.tsum(ad.mul(t, ad.Tensor(proj.data)))
@@ -111,7 +114,7 @@ def test_c01_gradient_suite():
         "where": lambda x: s(where(mask34, x, aux)),
         "relu": lambda x: s(ad.relu(x)),
         "softmax": lambda x: s(ad.softmax(x)),
-        "logsumexp": lambda x: ad.tsum(ad.logsumexp(x, axis=1)),
+        "logsumexp": lambda x: ad.tsum(logsumexp(x, axis=1)),
         "layer_norm": lambda x: s(ad.layer_norm(x, gamma, beta)),
         "dropout": lambda x: s(ad.dropout(x, 0.4, np.random.default_rng(99))),
         "multi_head_attention": lambda x: s(multi_head_attention(
@@ -121,6 +124,8 @@ def test_c01_gradient_suite():
                                            window_proj)),
         "maxpool_over_time": lambda x: ad.tsum(
             ad.maxpool_over_time(x, np.array([2, 1]))),
+        "cross_entropy_sum": lambda x: cross_entropy_sum(x, np.array([1, 3, 0])),
+        "gold_score": lambda x: crf.gold_score(reshape(x, (2, 3, 2)), gold23, mask23),
     }
     x0 = rng.normal(size=(3, 4))
     for name, f in ops.items():

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slu import gradcheck
 from slu.cli import main, read_prediction_file
 from slu.config import Config, config_hash
-from slu.data import DataError
+from slu.data import DataError, build_vocab, load_dataset
 from slu.metrics import evaluate
 
 from helpers import CORRUPT_CHECKPOINTS, rewrite_header
@@ -104,6 +105,22 @@ class TestTrain:
                    "--checkpoint", str(ckpt), "--out", str(out), *FAST_ARGS])
         assert rc == 1  # no data; the parents exist before it is read
         assert ckpt.parent.is_dir() and out.parent.is_dir()
+
+    def test_pretrained_embeddings_end_to_end(self, tmp_path, capsys):
+        vocab = build_vocab(load_dataset(SAMPLE)["train"])
+        words = vocab.id2word[2:6]
+        lines = [f"{w} " + " ".join(["0.25"] * 16) for w in ["<unk>", *words, "zzz_absent"]]
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "r.txt"
+        rc = main(["train", "--data", str(SAMPLE), "--checkpoint", str(tmp_path / "x.ckpt"),
+                   "--out", str(report), "--embeddings", str(vectors), *FAST_ARGS,
+                   "--set", "max_epochs=1"])
+        assert rc == 0
+        coverage = len(words) / (vocab.n_words - 2)
+        assert read_report(report)["embedding_coverage"] == f"{coverage:.4f}"
+        assert f"pretrained vectors cover {coverage:.1%} of the vocabulary" in \
+            capsys.readouterr().out
 
     def test_missing_data_exits_nonzero(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"),
@@ -408,6 +425,21 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "gradient check passed" in out
         assert "worst relative error" in out
+
+    def test_a_failed_check_is_reported_and_exits_1(self, monkeypatch, capsys):
+        # A failing result as gradcheck.run returns one (the check itself
+        # is tested in test_gradcheck.py); the listing stops at 20.
+        failures = [f"crf.T[{i}]: analytic 1.0 vs numeric 0.9 (rel err 1.00e-01)"
+                    for i in range(25)]
+        result = gradcheck.GradCheckResult(passed=False, checked=40, failures=failures,
+                                           max_rel_err=0.1, per_tensor={"crf.T": 0.1})
+        monkeypatch.setattr(gradcheck, "run", lambda seed, quick: result)
+        assert main(["gradcheck", "--quick"]) == 1
+        captured = capsys.readouterr()
+        assert "checked 40 coordinates; worst relative error 1.000e-01" in captured.out
+        assert "gradient check passed" not in captured.out
+        assert captured.err.splitlines() == [f"FAIL {f}" for f in failures[:20]] + [
+            "gradient check FAILED"]
 
     def test_negative_seed_exits_1(self, capsys):
         assert main(["gradcheck", "--quick", "--seed", "-1"]) == 1

@@ -120,6 +120,12 @@ class TestVocab:
         # mm and zz both occur twice; ties sort lexicographically.
         assert vocab.id2word[2:] == ["mm", "zz", "aa"]
 
+    def test_intents_by_falling_frequency_then_name(self):
+        intents = ["b", "c", "a", "c", "d", "b", "c", "b"]
+        vocab = build_vocab([Utterance(["w"], ["O"], i) for i in intents])
+        # b and c occur three times each, a and d once.
+        assert vocab.id2intent == ["b", "c", "a", "d"]
+
     def test_unseen_word_maps_to_unk(self):
         vocab = build_vocab([Utterance(["a"], ["O"], "X")])
         assert vocab.encode_tokens(["never"]) == [UNK_ID]
@@ -182,6 +188,14 @@ class TestEmbeddings:
         row = table[vocab.word2id["solo"]]
         assert (np.abs(row) <= 0.1).all()
         assert coverage == 0.0
+
+    def test_unk_row_is_drawn_even_when_the_file_lists_unk(self, tmp_path, rng):
+        vocab = build_vocab([Utterance(["a"], ["O"], "X")])
+        (tmp_path / "vec.txt").write_text(f"{UNK_TOKEN} 1.0 2.0\na 3.0 4.0\n")
+        table, coverage = load_pretrained_embeddings(tmp_path / "vec.txt", vocab, 2, rng)
+        assert (np.abs(table[UNK_ID]) <= 0.1).all()
+        np.testing.assert_array_equal(table[vocab.word2id["a"]], [3.0, 4.0])
+        assert coverage == 1.0
 
     def test_pad_row_is_zero(self, tmp_path, rng):
         vocab = build_vocab([Utterance(["a"], ["O"], "X")])

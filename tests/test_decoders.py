@@ -20,6 +20,7 @@ from helpers import (
     crf_brute_force,
     crf_gold_score_loop,
     crf_log_partition_composed,
+    graph_dtype_census,
     numeric_grad,
     viterbi_loop,
 )
@@ -333,6 +334,12 @@ class TestGoldScore:
         np.testing.assert_array_equal(em_t.grad, ref_dE)
         np.testing.assert_array_equal(crf.T.grad, ref_dT)
 
+    def test_is_one_graph_node_over_emissions_and_transitions(self, rng):
+        crf, em, mask, _ = ragged_instance(rng)
+        em_t = ad.Tensor(em, requires_grad=True)
+        score = crf.gold_score(em_t, rng.integers(0, 5, size=mask.shape), mask)
+        assert score._parents == (em_t, crf.T)
+
 
 class TestViterbi:
     def test_matches_brute_force_argmax(self, rng):
@@ -498,6 +505,25 @@ class TestViterbi:
         assert paths == viterbi_loop(crf, em, mask)
         assert all(path == gold[b, :len(path)].tolist() for b, path in enumerate(paths))
 
+    def test_a_peaked_batch_prunes_almost_every_row(self, rng, monkeypatch):
+        # Only a row that takes the full (to, from) step calls
+        # np.take_along_axis, once per step for all such rows together.
+        crf, em, mask = self._oracle_case(rng, [14, 9, 22, 3, 17])
+        gold = rng.integers(0, 120, size=em.shape[:2])
+        em[np.arange(5)[:, None], np.arange(22), gold] += 10.0
+        full_rows = []
+        take_along_axis = np.take_along_axis
+
+        def counting(arr, *args, **kwargs):
+            full_rows.append(arr.shape[0])
+            return take_along_axis(arr, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take_along_axis", counting)
+        paths = crf.viterbi(em, mask)
+        live_rows = int((mask[:, 1:]).sum())
+        assert sum(full_rows) <= live_rows // 20, (sum(full_rows), live_rows)
+        assert all(path == gold[b, :len(path)].tolist() for b, path in enumerate(paths))
+
     def test_empty_sequence_rejected(self):
         crf = make_crf(2)
         with pytest.raises(ValueError):
@@ -505,6 +531,16 @@ class TestViterbi:
 
 
 class TestJointLoss:
+    def test_tail_is_eight_nodes(self, rng):
+        # Cross-entropy, log-partition, its tsum, gold score, -1 scale,
+        # nll add, joint add, 1/B scale: eight nodes over three leaves.
+        crf = make_crf(3)
+        logits = ad.Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        em = ad.Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
+        mask = np.array([[True, True, True], [True, False, False]])
+        loss = joint_loss(logits, np.array([1, 3]), crf, em, np.zeros((2, 3), int), mask)
+        assert graph_dtype_census(loss)["float64"]["nodes"] == 8 + 3
+
     def test_perfect_predictions_drive_loss_to_zero(self):
         crf = make_crf(1)
         logits = np.full((1, 3), -50.0)

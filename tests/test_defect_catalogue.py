@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from slu import autodiff as ad
-from slu import checkpoint, interaction, optim, train
+from slu import checkpoint, decoders, interaction, optim, train
 from slu.model import JointModel
 from slu.config import AblationMode
 from slu.data import RowMap
@@ -240,6 +240,39 @@ def evaluation_draws_dropout(monkeypatch):
                 {"rng = self.rng if training else None": "rng = self.rng"})
 
 
+def gold_transitions_transposed(monkeypatch):
+    """``CrfHead.gold_score``'s backward counts each gold transition at
+    ``(cur, prev)`` instead of ``(prev, cur)``."""
+    edit_source(monkeypatch, CrfHead.gold_score, {"prev * K + cur": "cur * K + prev"})
+
+
+def cross_entropy_without_onehot(monkeypatch):
+    """``cross_entropy_sum``'s backward is the softmax alone: the gold
+    class's ``-1`` is left out."""
+    edit_source(monkeypatch, decoders.cross_entropy_sum, {"d[rows, gold] -= 1.0": "pass"})
+
+
+def adam_merges_runs_across_a_gap(monkeypatch):
+    """``Adam.step`` merges two runs with a gradless parameter between
+    them, so the gap's stale gradient slot is swept too."""
+    edit_source(monkeypatch, optim.Adam.step, {"runs[-1][2] == lo and ": ""})
+
+
+def viterbi_never_prunes(monkeypatch):
+    """``CrfHead.viterbi``'s rounding margin is ``8 / eps`` for ``8 * eps``,
+    so every row keeps every state and takes the full step: the paths stay
+    exact and only the speed is lost."""
+    edit_source(monkeypatch, CrfHead.viterbi, {"span + 8 * eps": "span + 8 / eps"})
+
+
+def accumulate_keeps_float64_buffer(monkeypatch):
+    """``_accumulate`` keeps a float64 first contribution uncast as a
+    float32 intermediate's buffer, so the backward upstream of the CRF
+    runs in float64."""
+    edit_source(monkeypatch, ad._accumulate,
+                {"v.dtype == node.data.dtype": "v.dtype != node.data.dtype"})
+
+
 def getitem_matches_add_at():
     for idx in (np.array([4, 1, 1, 6, 0, 4, 4]), (np.array([1, 1, 6]), np.array([4, 4, 0]))):
         test_autodiff.TestRowScatter().test_matches_add_at(np.random.default_rng(0), idx)
@@ -328,6 +361,29 @@ def evaluation_leaves_rng_alone():
     test_train.TestEvaluationDraws().test_evaluation_draws_nothing_and_training_draws()
 
 
+def gold_score_layout_fuzz():
+    test_layout_fuzz.test_gold_score_matches_the_loop()
+
+
+def cross_entropy_fuzz():
+    test_layout_fuzz.test_cross_entropy_matches_the_composed_oracle()
+
+
+def adam_skips_a_gradless_gap():
+    test_optim.TestFlatStorage().test_gradless_parameter_between_two_with_gradients_is_left_alone()
+
+
+def viterbi_prunes_a_peaked_batch():
+    with pytest.MonkeyPatch.context() as mp:
+        test_decoders.TestViterbi().test_a_peaked_batch_prunes_almost_every_row(
+            np.random.default_rng(12345), mp)
+
+
+def float32_backward_stays_float32():
+    with pytest.MonkeyPatch.context() as mp:
+        test_train.TestDtypeContract().test_float32_backward_keeps_every_gradient_in_its_dtype(mp)
+
+
 def float32_graph_stays_float32():
     test_train.TestDtypeContract().test_float32_training_graph_is_float32(AblationMode.FULL)
 
@@ -358,6 +414,12 @@ CATALOGUE = {
     "attention_output_float64": (attention_output_float64, float32_graph_stays_float32),
     "train_keeps_last_epoch": (train_keeps_last_epoch, train_returns_best_epoch),
     "evaluation_draws_dropout": (evaluation_draws_dropout, evaluation_leaves_rng_alone),
+    "gold_transitions_transposed": (gold_transitions_transposed, gold_score_layout_fuzz),
+    "cross_entropy_without_onehot": (cross_entropy_without_onehot, cross_entropy_fuzz),
+    "adam_merges_runs_across_a_gap": (adam_merges_runs_across_a_gap, adam_skips_a_gradless_gap),
+    "viterbi_never_prunes": (viterbi_never_prunes, viterbi_prunes_a_peaked_batch),
+    "accumulate_keeps_float64_buffer": (accumulate_keeps_float64_buffer,
+                                        float32_backward_stays_float32),
 }
 
 

@@ -1,12 +1,14 @@
-"""Layout fuzz for the fused CRF log-partition: ragged batches in any
-length order, with ties and trailing all-pad columns, against the composed
-log-space oracle.
+"""Layout fuzz for the fused loss nodes: the CRF log-partition and gold
+score over ragged batches in any length order, with ties and trailing
+all-pad columns, against their composed and loop oracles; the intent
+cross-entropy against its composed oracle.
 
-The fused node zeroes pad emissions and steps every sentence through all
-n steps, reading each one's result at its own last step, so a slip in that
-bookkeeping shows only for some layouts. Pads may hold NaN or ±inf, which
-the node must never read. Examples are bounded and derandomized, so every
-run tests the same batches and the file stays fast.
+The fused log-partition zeroes pad emissions and steps every sentence
+through all n steps, reading each one's result at its own last step, so a
+slip in that bookkeeping shows only for some layouts. Pads may hold NaN or
+±inf emissions and any tag, which no node may read. Examples are bounded
+and derandomized, so every run tests the same batches and the file stays
+fast.
 """
 
 import numpy as np
@@ -14,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slu.decoders import CrfHead
+from slu import autodiff as ad
+from slu.decoders import CrfHead, cross_entropy_sum
 
-from helpers import crf_log_partition_composed
+from helpers import cross_entropy_composed, crf_gold_score_loop, crf_log_partition_composed
 from test_decoders import partition_and_grads
 
 FUZZ = settings(max_examples=120, derandomize=True, database=None, deadline=None)
@@ -62,6 +65,54 @@ def test_log_partition_matches_the_composed_oracle(lengths, extra, S, seed, pad)
     same = partition_and_grads(CrfHead.log_partition, crf, clean, mask, r)
     for got, ref in zip((log_z, dE, dT), same):
         np.testing.assert_array_equal(got, ref)
+
+
+def scaled_value_and_grads(loss, leaves, r):
+    """The value of ``loss``, and the gradients of ``r * loss`` at ``leaves``."""
+    for leaf in leaves:
+        leaf.grad = None
+    value = loss.item()
+    ad.mul(loss, r).backward()
+    return value, [leaf.grad for leaf in leaves]
+
+
+@FUZZ
+@given(lengths=st.lists(st.integers(1, 7), min_size=1, max_size=5),
+       extra=st.integers(0, 2), S=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       pad=st.sampled_from([0.0, np.nan, np.inf, -np.inf]))
+@example(lengths=[1, 1, 1], extra=0, S=3, seed=1, pad=np.nan)  # every sentence length 1
+@example(lengths=[3, 5, 3, 2], extra=2, S=5, seed=4, pad=-np.inf)  # all-pad columns
+def test_gold_score_matches_the_loop(lengths, extra, S, seed, pad):
+    crf, clean, mask, r = ragged_batch(lengths, extra, S, seed)
+    gold = np.random.default_rng(seed).integers(0, S, size=mask.shape)  # pads too
+    clean[~mask] = 0.0
+    dirty = clean.copy()
+    dirty[~mask] = pad
+    em = ad.Tensor(dirty, requires_grad=True)
+    with np.errstate(all="raise"):  # a non-finite pad reaching arithmetic raises
+        score, (dE, dT) = scaled_value_and_grads(crf.gold_score(em, gold, mask),
+                                                 (em, crf.T), r[0])
+    want, want_dE, want_dT = crf_gold_score_loop(crf, clean, gold, mask)
+    np.testing.assert_allclose(score, want.sum(), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dE, r[0] * want_dE, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(dT, r[0] * want_dT, rtol=0, atol=1e-8)
+    assert np.all(dE[~mask] == 0.0)
+
+
+@FUZZ
+@given(B=st.integers(1, 6), C=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.1, 3.0, 30.0]))
+@example(B=1, C=1, seed=0, scale=3.0)  # one class: zero loss, zero gradient
+def test_cross_entropy_matches_the_composed_oracle(B, C, seed, scale):
+    rng = np.random.default_rng(seed)
+    gold = rng.integers(0, C, size=B)
+    r = rng.standard_normal()
+    x = ad.Tensor(rng.standard_normal((B, C)) * scale, requires_grad=True)
+    with np.errstate(all="raise"):
+        got, (dx,) = scaled_value_and_grads(cross_entropy_sum(x, gold), (x,), r)
+    want, (want_dx,) = scaled_value_and_grads(cross_entropy_composed(x, gold), (x,), r)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("mask", [

@@ -180,6 +180,33 @@ class TestFlatStorage:
             assert got.tobytes() == want.tobytes()
         assert params[1].tensor.data.tobytes() != before[1][0].tobytes()
 
+    def test_gradless_parameter_between_two_with_gradients_is_left_alone(self):
+        # Three decay parameters of one dtype sit in layout order, so the
+        # middle one's slot is a gap between the two runs that are swept.
+        def triple():
+            rng = np.random.default_rng(8)
+            return [Param(name, ad.Tensor(rng.standard_normal(shape).astype(np.float32),
+                                          requires_grad=True))
+                    for name, shape in (("u", (2, 3)), ("v", (4,)), ("w", (3, 2)))]
+
+        ours, theirs = triple(), triple()
+        opt = Adam(ours, lr=0.05, weight_decay=0.1)
+        ref = Adam(theirs, lr=0.05, weight_decay=0.1)
+        assert [p.name for p, *_ in opt._layout] == ["u", "v", "w"]
+        for step in range(2):
+            for a, b in zip(ours, theirs):
+                a.tensor.grad = np.full(a.tensor.shape, 0.5, np.float32)
+                b.tensor.grad = a.tensor.grad.copy()
+            if step == 1:  # v's gradient slot still holds step 0's values
+                ours[1].tensor.grad = theirs[1].tensor.grad = None
+            v_before = ours[1].tensor.data.copy(), opt._m[1].copy(), opt._v[1].copy()
+            opt.step()
+            adam_step_oracle(ref)
+            for a, b in zip(ours, theirs):
+                np.testing.assert_array_equal(a.tensor.data, b.tensor.data)
+        for got, want in zip((ours[1].tensor.data, opt._m[1], opt._v[1]), v_before):
+            assert got.tobytes() == want.tobytes()
+
     def test_hand_assigned_gradient_is_used(self):
         ours, theirs = self._pair(), self._pair()
         opt, ref = Adam(ours, lr=0.05), Adam(theirs, lr=0.05)

@@ -76,6 +76,24 @@ class TestDtypeContract:
         for p in model.params():
             assert p.tensor.grad is None or p.tensor.grad.dtype == np.float32, p.name
 
+    def test_float32_backward_keeps_every_gradient_in_its_dtype(self, monkeypatch):
+        # The fused CRF node hands back float64 gradients; the engine must
+        # store them in float32, or the backward upstream runs in float64.
+        ref, batch = toy_setup(seed=2)
+        model = JointModel(ref.config, ref.vocab, dtype=np.float32)
+        loss = model.loss(batch, training=True)
+        stored = []
+        accumulate = ad._accumulate
+
+        def spy(node, v):
+            accumulate(node, v)
+            stored.append((node.data.dtype, node.grad.dtype))
+
+        monkeypatch.setattr(ad, "_accumulate", spy)
+        loss.backward()
+        assert len(stored) > 50
+        assert set(stored) == {(np.dtype(np.float32), np.dtype(np.float32))}
+
     @pytest.mark.parametrize("mode", list(AblationMode), ids=lambda m: m.value)
     def test_gradcheck_graph_is_float64(self, mode):
         model, batch = toy_setup(seed=2, ablation=mode.value)
@@ -181,8 +199,9 @@ class TestComposedKernels:
     @pytest.mark.parametrize("mode", list(AblationMode), ids=lambda m: m.value)
     def test_training_steps_match_composed_oracles(self, mode):
         # Two same-seed float64 models with dropout on, one run with every
-        # fused kernel (BiLSTM, CRF log-partition, packed interaction stack
-        # and its attention node) swapped for its composed padded oracle.
+        # fused kernel (BiLSTM, CRF log-partition and gold score, intent
+        # cross-entropy, packed interaction stack and its attention node)
+        # swapped for its composed oracle.
         # Same rng order on both sides, so same dropout masks; at each of
         # three steps the losses agree to 1e-10 relative and every
         # parameter gradient to 1e-8, then each side takes its Adam step.
@@ -631,4 +650,12 @@ class TestCheckpoint:
         state = model.state_arrays()
         state["bogus"] = np.zeros(3)
         with pytest.raises(ValueError, match="bogus"):
+            model.load_state_arrays(state)
+
+    def test_state_shape_mismatch_rejected(self):
+        vocab = build_vocab(tiny_corpus())
+        model = JointModel(tiny_config(), vocab)
+        state = model.state_arrays()
+        state["crf.T"] = state["crf.T"][:-1]
+        with pytest.raises(ValueError, match=r"parameter crf.T: shape \(\d+, \d+\) does not"):
             model.load_state_arrays(state)
